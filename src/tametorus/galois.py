@@ -119,17 +119,19 @@ class GaloisLatticeModule:
     `wild_inertia` are index subsets of the generator list marking the
     inertia and wild-inertia subgroups.  An optional Frobenius matrix
     must be unimodular and normalize the inertia action.
+
+    The groups `full_group`, `inertia_group` and `wild_group` are closed
+    on first read, each distinct generator tuple at most once per module.
+    The constructor closes the full group (this rejects an infinite
+    action) and the inertia group only when a Frobenius is given or a
+    wild generator is not itself marked as inertia.
     """
 
     def __init__(self, lattice_rank: int, generators: Sequence[IntegerMatrix],
                  inertia: Sequence[int] = (), wild_inertia: Sequence[int] = (),
                  frobenius: Optional[IntegerMatrix] = None, *,
                  closure_cap: int = DEFAULT_CLOSURE_CAP):
-        self.lattice_rank = lattice_rank
-        self.generators = tuple(generators)
-        self.inertia_indices = tuple(inertia)
-        self.wild_indices = tuple(wild_inertia)
-        self.frobenius = frobenius
+        self._assign(lattice_rank, generators, inertia, wild_inertia, frobenius, closure_cap)
 
         for g in self.generators:
             if g.rows != lattice_rank or g.cols != lattice_rank:
@@ -138,16 +140,11 @@ class GaloisLatticeModule:
             if not 0 <= idx < len(self.generators):
                 raise ValueError(f"generator index {idx} out of range")
 
-        self.full_group = close_group(self.generators, dimension=lattice_rank, cap=closure_cap)
-        self.inertia_group = close_group(
-            self.subgroup_generators("inertia"), dimension=lattice_rank, cap=closure_cap
-        )
-        self.wild_group = close_group(
-            self.subgroup_generators("wild_inertia"), dimension=lattice_rank, cap=closure_cap
-        )
-        for g in self.wild_group.generators:
-            if g not in self.inertia_group:
-                raise ValueError("wild inertia is not contained in inertia")
+        self._closure("full")  # raises ClosureCapExceeded for an infinite action
+        if not set(self.wild_indices) <= set(self.inertia_indices):
+            for g in self.subgroup_generators("wild_inertia"):
+                if g not in self.inertia_group:
+                    raise ValueError("wild inertia is not contained in inertia")
 
         if frobenius is not None:
             if frobenius.rows != lattice_rank or frobenius.cols != lattice_rank:
@@ -158,6 +155,33 @@ class GaloisLatticeModule:
             for g in self.inertia_group.generators:
                 if (frobenius @ g @ f_inv) not in self.inertia_group:
                     raise ValueError("frobenius does not normalize the inertia action")
+
+    def _assign(self, lattice_rank, generators, inertia, wild_inertia, frobenius, closure_cap):
+        self.lattice_rank = lattice_rank
+        self.generators = tuple(generators)
+        self.inertia_indices = tuple(inertia)
+        self.wild_indices = tuple(wild_inertia)
+        self.frobenius = frobenius
+        self._closure_cap = closure_cap
+        self._closures: dict[tuple[IntegerMatrix, ...], MatrixGroup] = {}
+
+    @classmethod
+    def _unchecked(cls, *fields) -> "GaloisLatticeModule":
+        """A module built without the constructor's checks (for a dual, say)."""
+        module = cls.__new__(cls)
+        module._assign(*fields)
+        return module
+
+    def _closure(self, subgroup: str) -> MatrixGroup:
+        gens = self.subgroup_generators(subgroup)
+        if gens not in self._closures:
+            self._closures[gens] = close_group(gens, dimension=self.lattice_rank,
+                                               cap=self._closure_cap)
+        return self._closures[gens]
+
+    full_group = property(lambda self: self._closure("full"))
+    inertia_group = property(lambda self: self._closure("inertia"))
+    wild_group = property(lambda self: self._closure("wild_inertia"))
 
     def subgroup_generators(self, subgroup: str) -> tuple[IntegerMatrix, ...]:
         if subgroup == "full":
@@ -237,10 +261,6 @@ def largest_trivial_free_quotient(module: GaloisLatticeModule) -> LatticeQuotien
     return LatticeQuotient(saturate(rel))
 
 
-def _torsion_count(group: FgAbelianGroup) -> int:
-    return len(group.invariant_factors)
-
-
 def check_presented_endomorphism(group: FgAbelianGroup, matrix: IntegerMatrix) -> None:
     """Validate that `matrix` defines an endomorphism of the presented group.
 
@@ -251,7 +271,7 @@ def check_presented_endomorphism(group: FgAbelianGroup, matrix: IntegerMatrix) -
     k = group.num_generators
     if matrix.rows != k or matrix.cols != k:
         raise ValueError(f"matrix must be {k}x{k} for this presentation")
-    t = _torsion_count(group)
+    t = len(group.invariant_factors)
     d = group.invariant_factors
     for i in range(t):
         for f in range(t, k):
@@ -264,7 +284,7 @@ def check_presented_endomorphism(group: FgAbelianGroup, matrix: IntegerMatrix) -
 
 def _reduce_endo(group: FgAbelianGroup, matrix: IntegerMatrix) -> IntegerMatrix:
     """Canonical representative of an endomorphism (torsion rows mod d_j)."""
-    t = _torsion_count(group)
+    t = len(group.invariant_factors)
     rows = matrix.to_rows()
     for j in range(t):
         dj = group.invariant_factors[j]
@@ -293,7 +313,7 @@ def endomorphism_order(group: FgAbelianGroup, matrix: IntegerMatrix, *,
 def _presentation_relations(group: FgAbelianGroup) -> IntegerMatrix:
     """Relation columns d_i e_i of the normal-form presentation in Z^k."""
     k = group.num_generators
-    t = _torsion_count(group)
+    t = len(group.invariant_factors)
     cols = []
     for i in range(t):
         c = [0] * k

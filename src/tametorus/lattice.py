@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import NotUnimodular, SubgroupViolation
@@ -45,6 +46,33 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     if g < 0:
         g, x, y = -g, -x, -y
     return g, x, y
+
+
+def det_rows(m: list[list[int]]) -> int:
+    """Determinant of a square list of rows by fraction-free (Bareiss)
+    elimination.  The rows are overwritten."""
+    n = len(m)
+    if n == 0:
+        return 1
+    if n == 1:
+        return m[0][0]
+    if n == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 @dataclass(frozen=True)
@@ -174,13 +202,7 @@ class IntegerMatrix:
         )
 
     def is_identity(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(
-            self.entries[i * self.cols + j] == (1 if i == j else 0)
-            for i in range(self.rows)
-            for j in range(self.cols)
-        )
+        return self.rows == self.cols and self.entries == IntegerMatrix.identity(self.rows).entries
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)
@@ -189,25 +211,7 @@ class IntegerMatrix:
         """Exact determinant by fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = self.to_rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-                if pivot is None:
-                    return 0
-                m[k], m[pivot] = m[pivot], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        return det_rows(self.to_rows())
 
     def to_json_dict(self) -> dict:
         return {"rows": self.rows, "cols": self.cols, "entries": self.to_rows()}
@@ -526,31 +530,26 @@ def solve(A: IntegerMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
     """One integer solution x of A x = b, or None if none exists."""
     if len(b) != A.rows:
         raise ValueError("length of b must equal row count")
-    snf = smith_normal_form(A)
-    c = snf.U.apply(b)
-    d = snf.diagonal()
-    y = [0] * A.cols
-    for i in range(A.rows):
-        di = d[i] if i < len(d) else 0
-        if di == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % di != 0:
-                return None
-            y[i] = c[i] // di
-    return snf.V.apply(y)
+    x = solve_matrix(A, IntegerMatrix.from_cols([b], rows=A.rows))
+    return None if x is None else x.col(0)
 
 
 def solve_matrix(A: IntegerMatrix, B: IntegerMatrix) -> Optional[IntegerMatrix]:
-    """One integer solution X of A X = B, or None."""
-    cols = []
-    for j in range(B.cols):
-        x = solve(A, B.col(j))
-        if x is None:
-            return None
-        cols.append(x)
-    return IntegerMatrix.from_cols(cols, rows=A.cols)
+    """One integer solution X of A X = B, or None.
+
+    One Smith form of A serves every column: with U A V = S, X = V Y
+    where S Y = U B is solved row by row.
+    """
+    if B.rows != A.rows:
+        raise ValueError("row count of B must equal row count of A")
+    snf = smith_normal_form(A)
+    d = [x for x in snf.diagonal() if x]
+    r = len(d)
+    c = (snf.U @ B).to_rows()
+    if any(any(row) for row in c[r:]) or any(x % d[i] for i in range(r) for x in c[i]):
+        return None
+    y = [[x // d[i] for x in c[i]] for i in range(r)] + [[0] * B.cols] * (A.cols - r)
+    return snf.V @ IntegerMatrix.from_rows(y, cols=B.cols)
 
 
 def lattices_equal(A: IntegerMatrix, B: IntegerMatrix) -> bool:
@@ -568,6 +567,10 @@ class LatticeQuotient:
     maps ambient vectors to these coordinates; `descend` pushes an
     endomorphism of Z^n that preserves the relation lattice down to the
     quotient.
+
+    Construction takes one Smith form.  The section (a second one, for
+    the inverse of U) is computed on the first `lift` or `descend` and
+    cached; it is deterministic, so a concurrent first read is harmless.
     """
 
     def __init__(self, relations: IntegerMatrix):
@@ -583,8 +586,13 @@ class LatticeQuotient:
         self.group = FgAbelianGroup(len(free_idx), tuple(d[i] for i in torsion_idx))
         self.orders: tuple[int, ...] = tuple(d[i] for i in torsion_idx) + (0,) * len(free_idx)
         self.projection = IntegerMatrix.from_rows([list(snf.U.row(i)) for i in kept], cols=n)
-        u_inv = unimodular_inverse(snf.U)
-        self._section = IntegerMatrix.from_cols([u_inv.col(i) for i in kept], rows=n)
+        self._u = snf.U
+        self._kept = kept
+
+    @cached_property
+    def _section(self) -> IntegerMatrix:
+        u_inv = unimodular_inverse(self._u)
+        return IntegerMatrix.from_cols([u_inv.col(i) for i in self._kept], rows=self.ambient_rank)
 
     def reduce(self, coords: Sequence[int]) -> tuple[int, ...]:
         """Canonical representative of a coordinate vector (torsion taken mod d_i)."""

@@ -29,6 +29,7 @@ from .errors import (
     PrecisionExhausted,
     SearchSpaceTooLarge,
 )
+from .lattice import det_rows
 
 __all__ = [
     "PadicContext",
@@ -236,36 +237,12 @@ def _mult_matrix_rows(p: int, e: int, coeffs: tuple[int, ...]) -> list[list[int]
     ]
 
 
-def _det_rows(m: list[list[int]]) -> int:
-    # Fraction-free determinant on a small mutable row list.
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def field_norm(p: int, e: int, coeffs: tuple[int, ...]) -> int:
     """N(b) for b = sum(c_i t^i) in L = K(t), t^e = p: the determinant of
     the multiplication-by-b matrix over the basis 1, t, ..., t^(e-1)."""
     if len(coeffs) != e:
         raise ValueError(f"expected {e} coefficients")
-    return _det_rows(_mult_matrix_rows(p, e, coeffs))
+    return det_rows(_mult_matrix_rows(p, e, coeffs))
 
 
 @lru_cache(maxsize=None)

@@ -291,12 +291,12 @@ def verify_factorization(family: NormTorsorFamily, sample_count: int, seed: int)
     skipped = 0
     failures: list[FailureRecord] = []
     for point in primaries:
-        point_bar = tuple(x % p for x in point)
-        if family.f.evaluate_mod(point_bar, p) == 0:
+        try:
+            special = special_eval(family, point).value
+        except SpecialFibreVanishing:
             skipped += 1
             continue
         tested += 1
-        special = special_eval(family, point_bar).value
         generic = evaluate(family, point).value
         if generic != special:
             failures.append(FailureRecord(point, generic, special))
@@ -331,7 +331,8 @@ def constancy_check(family: NormTorsorFamily) -> ConstancyReport:
         )
     classes: dict[tuple[int, ...], int] = {}
     for point_bar in itertools.product(range(p), repeat=family.n_vars):
-        if family.f.evaluate_mod(point_bar, p) == 0:
+        try:
+            classes[point_bar] = special_eval(family, point_bar).value
+        except SpecialFibreVanishing:
             continue
-        classes[point_bar] = special_eval(family, point_bar).value
     return ConstancyReport(constant=len(set(classes.values())) <= 1, classes=classes)

@@ -18,13 +18,7 @@ from .galois import (
     coinvariants,
     cyclic_h1,
 )
-from .lattice import (
-    FgAbelianGroup,
-    IntegerMatrix,
-    cokernel,
-    hstack,
-    unimodular_inverse,
-)
+from .lattice import FgAbelianGroup, IntegerMatrix, cokernel, det_rows, unimodular_inverse
 
 __all__ = [
     "TameTorusSpec",
@@ -97,19 +91,23 @@ def cocharacter_action(spec: TameTorusSpec) -> GaloisLatticeModule:
     """The same group acting on the dual (cocharacter) lattice.
 
     Matrices dualize by inverse-transpose, which keeps g -> g* a
-    homomorphism; subgroup markings and Frobenius carry over.
+    homomorphism; subgroup markings and Frobenius carry over.  The map
+    is an isomorphism of groups that preserves finiteness, wild-in-inertia
+    containment and Frobenius normalization, so the module checks are not
+    run again.
     """
     mod = spec.characters
 
     def dual(m: IntegerMatrix) -> IntegerMatrix:
         return unimodular_inverse(m).transpose()
 
-    return GaloisLatticeModule(
+    return GaloisLatticeModule._unchecked(
         mod.lattice_rank,
         tuple(dual(g) for g in mod.generators),
-        inertia=mod.inertia_indices,
-        wild_inertia=mod.wild_indices,
-        frobenius=None if mod.frobenius is None else dual(mod.frobenius),
+        mod.inertia_indices,
+        mod.wild_indices,
+        None if mod.frobenius is None else dual(mod.frobenius),
+        mod._closure_cap,
     )
 
 
@@ -126,24 +124,17 @@ class ComponentGroup:
 
     def __post_init__(self) -> None:
         check_presented_endomorphism(self.group, self.frobenius_action)
-        t = len(self.group.invariant_factors)
-        k = self.group.num_generators
-        free_block = IntegerMatrix.from_rows(
-            [list(self.frobenius_action.row(i))[t:] for i in range(t, k)], cols=k - t
-        )
-        if free_block.det() not in (1, -1):
+        d = self.group.invariant_factors
+        t = len(d)
+        rows = self.frobenius_action.to_rows()
+        if det_rows([r[t:] for r in rows[t:]]) not in (1, -1):
             raise ValueError("frobenius_action is not invertible on the free part")
-        if t:
-            torsion_block = IntegerMatrix.from_rows(
-                [list(self.frobenius_action.row(i))[:t] for i in range(t)], cols=t
-            )
-            diag = IntegerMatrix.from_rows(
-                [[self.group.invariant_factors[i] if i == j else 0 for j in range(t)]
-                 for i in range(t)],
-                cols=t,
-            )
-            if not cokernel(hstack([torsion_block, diag])).is_trivial:
-                raise ValueError("frobenius_action is not surjective on the torsion part")
+        # Surjective on the torsion part: the torsion block and the
+        # relations d_i e_i together span Z^t.
+        torsion = [r[:t] + [d[i] if i == j else 0 for j in range(t)]
+                   for i, r in enumerate(rows[:t])]
+        if t and not cokernel(IntegerMatrix.from_rows(torsion, cols=2 * t)).is_trivial:
+            raise ValueError("frobenius_action is not surjective on the torsion part")
 
     def to_json_dict(self) -> dict:
         return {

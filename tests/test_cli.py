@@ -102,6 +102,17 @@ def test_tame_quotient_and_coinvariants(capsys):
     assert json.loads(out)["group"] == {"free_rank": 1, "invariant_factors": []}
 
 
+def test_infinite_action_exit_code(capsys):
+    module = json.dumps({
+        "lattice_rank": 2,
+        "generators": [{"rows": 2, "cols": 2, "entries": [[1, 1], [0, 1]]}],
+    })
+    code, out, err = run_cli(capsys, "coinvariants", "--module", module)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "closure-cap-exceeded"
+
+
 def test_file_input_and_output(tmp_path, capsys):
     fam_path = tmp_path / "family.json"
     fam_path.write_text(FAMILY)

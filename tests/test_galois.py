@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from tametorus import galois
 from tametorus.errors import ClosureCapExceeded, InfiniteOrder, NotUnimodular
 from tametorus.galois import (
     GaloisLatticeModule,
@@ -85,6 +86,26 @@ class TestModuleValidation:
         assert back.inertia_indices == m.inertia_indices
         assert back.wild_indices == m.wild_indices
         assert back.frobenius == m.frobenius
+
+
+    def test_infinite_action_rejected_by_constructor(self):
+        with pytest.raises(ClosureCapExceeded):
+            GaloisLatticeModule(2, (mat([[1, 1], [0, 1]]),))
+
+    def test_each_generator_tuple_closed_once(self, monkeypatch):
+        calls = []
+
+        def counting_close_group(gens, **kwargs):
+            calls.append(tuple(gens))
+            return close_group(gens, **kwargs)
+
+        monkeypatch.setattr(galois, "close_group", counting_close_group)
+        m = GaloisLatticeModule(2, (SWAP,), inertia=(0,), frobenius=IntegerMatrix.identity(2))
+        assert calls == [(SWAP,)]
+        assert m.inertia_group is m.full_group
+        assert m.wild_group.order == 1
+        assert m.wild_group is m.wild_group
+        assert calls == [(SWAP,), ()]
 
 
 class TestCoinvariants:

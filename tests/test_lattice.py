@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tametorus import lattice
 from tametorus.errors import NotUnimodular, SubgroupViolation
 from tametorus.lattice import (
     FgAbelianGroup,
@@ -17,6 +18,7 @@ from tametorus.lattice import (
     saturate,
     smith_normal_form,
     solve,
+    solve_matrix,
     subquotient,
     unimodular_inverse,
     vstack,
@@ -194,6 +196,22 @@ class TestSolveAndInverse:
     def test_solve_unsolvable(self):
         assert solve(mat([[2]]), [3]) is None
         assert solve(mat([[1], [0]]), [0, 1]) is None
+
+    def test_solve_matrix_takes_one_snf(self, monkeypatch):
+        calls = []
+
+        def counting_snf(a):
+            calls.append(a)
+            return smith_normal_form(a)
+
+        monkeypatch.setattr(lattice, "smith_normal_form", counting_snf)
+        a = mat([[2, 1, 0], [0, 3, 1], [1, 0, 4]])
+        x = mat([[1, -2, 0], [3, 0, 1], [-1, 2, 5]])
+        got = solve_matrix(a, a @ x)
+        assert len(calls) == 1
+        assert got is not None and a @ got == a @ x
+        assert solve_matrix(mat([[2, 0], [0, 0]]), mat([[2, 1], [0, 0]])) is None
+        assert solve_matrix(mat([[2, 0], [0, 0]]), mat([[2, 4], [0, 1]])) is None
 
     def test_unimodular_inverse(self):
         rng = random.Random(5)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from tametorus import galois, lattice
 from tametorus.errors import TamenessViolation
 from tametorus.galois import GaloisLatticeModule, close_group
 from tametorus.lattice import FgAbelianGroup, IntegerMatrix, unimodular_inverse
@@ -15,7 +16,7 @@ from tametorus.torus import (
     norm_torus_spec,
 )
 
-from helpers import random_unimodular
+from helpers import random_finite_action_module, random_unimodular
 
 
 def mat(rows):
@@ -79,6 +80,19 @@ class TestCocharacterAction:
         assert (sigma_dual @ sigma_dual @ sigma_dual).is_identity()
 
 
+    def test_dual_group_is_transposed_character_group(self):
+        # g -> g^(-T) maps a finite group onto the transposes of its
+        # elements, since the group is closed under inverses.
+        rng = random.Random(71)
+        for _ in range(25):
+            module = random_finite_action_module(rng, rng.randrange(1, 5))
+            spec = TameTorusSpec(GaloisLatticeModule(
+                module.lattice_rank, module.generators, inertia=module.inertia_indices))
+            expected = sorted((g.transpose() for g in spec.characters.full_group.elements),
+                              key=lambda m: m.entries)
+            assert cocharacter_action(spec).full_group.elements == tuple(expected)
+
+
 class TestComponentGroup:
     def test_split_rank_one(self):
         spec = TameTorusSpec(GaloisLatticeModule(1, ()))
@@ -119,6 +133,22 @@ class TestComponentGroup:
                 frobenius=w @ spec.characters.effective_frobenius() @ w_inv,
             )
             assert component_group(TameTorusSpec(conjugated)).group == base
+
+    def test_one_closure_and_at_most_seven_snfs(self, monkeypatch):
+        counts = {"snf": 0, "closure": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(lattice, "smith_normal_form",
+                            counting("snf", lattice.smith_normal_form))
+        monkeypatch.setattr(galois, "close_group", counting("closure", galois.close_group))
+        assert h1_frobenius(component_group(norm_torus_spec(6))) == FgAbelianGroup(0, (6,))
+        assert counts["closure"] == 1
+        assert counts["snf"] <= 7
 
     def test_frobenius_action_is_validated(self):
         with pytest.raises(ValueError):
