@@ -23,7 +23,11 @@ class NotUnimodular(DomainError):
 
 
 class NoStabilization(DomainError):
-    """Cocycle kernels at doubled level disagree; the colimit did not stabilize."""
+    """Cocycle kernels at doubled level disagree; the colimit did not stabilize.
+
+    Nothing in the package raises it: `cyclic_h1` has no level tower.  It
+    stays exported for the tests' trace-kernel reference.
+    """
 
 
 class InfiniteOrder(DomainError):

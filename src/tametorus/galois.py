@@ -10,18 +10,16 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .errors import ClosureCapExceeded, InfiniteOrder, NoStabilization, NotUnimodular
+from .errors import ClosureCapExceeded, InfiniteOrder, NotUnimodular
 from .lattice import (
     FgAbelianGroup,
     IntegerMatrix,
     LatticeQuotient,
     cokernel,
     hstack,
-    image_basis,
+    json_int,
     kernel_basis,
-    lattices_equal,
     saturate,
-    subquotient,
     unimodular_inverse,
     vstack,
 )
@@ -149,9 +147,10 @@ class GaloisLatticeModule:
         if frobenius is not None:
             if frobenius.rows != lattice_rank or frobenius.cols != lattice_rank:
                 raise ValueError("frobenius shape does not match lattice_rank")
-            if frobenius.det() not in (1, -1):
-                raise NotUnimodular("frobenius must be unimodular")
-            f_inv = unimodular_inverse(frobenius)
+            try:
+                f_inv = unimodular_inverse(frobenius)
+            except NotUnimodular as exc:
+                raise NotUnimodular("frobenius must be unimodular") from exc
             for g in self.inertia_group.generators:
                 if (frobenius @ g @ f_inv) not in self.inertia_group:
                     raise ValueError("frobenius does not normalize the inertia action")
@@ -211,10 +210,10 @@ class GaloisLatticeModule:
     def from_json_dict(cls, d: dict) -> "GaloisLatticeModule":
         frob = d.get("frobenius")
         return cls(
-            lattice_rank=int(d["lattice_rank"]),
+            lattice_rank=json_int(d["lattice_rank"]),
             generators=[IntegerMatrix.from_json_dict(g) for g in d["generators"]],
-            inertia=[int(i) for i in d.get("inertia", [])],
-            wild_inertia=[int(i) for i in d.get("wild_inertia", [])],
+            inertia=[json_int(i) for i in d.get("inertia", [])],
+            wild_inertia=[json_int(i) for i in d.get("wild_inertia", [])],
             frobenius=None if frob is None else IntegerMatrix.from_json_dict(frob),
         )
 
@@ -322,57 +321,26 @@ def _presentation_relations(group: FgAbelianGroup) -> IntegerMatrix:
     return IntegerMatrix.from_cols(cols, rows=k)
 
 
-def _preimage_lattice(matrix: IntegerMatrix, relations: IntegerMatrix) -> IntegerMatrix:
-    """Basis of {x in Z^k : matrix @ x lies in the span of relations}."""
-    k = matrix.cols
-    combined = hstack([matrix, relations], rows=matrix.rows)
-    kern = kernel_basis(combined)
-    top = IntegerMatrix.from_rows(kern.to_rows()[:k], cols=kern.cols)
-    return image_basis(top)
-
-
 def cyclic_h1(group: FgAbelianGroup, frobenius: IntegerMatrix, *,
               order_cap: int = DEFAULT_ORDER_CAP) -> FgAbelianGroup:
     """First cohomology of a procyclic action on a presented abelian group.
 
     The generator acts through `frobenius` on normal-form coordinates
-    (torsion generators first, then free ones).  For a finite group this
-    is the coinvariant quotient A/(F - 1)A.  In general it is
-    ker(N)/im(F - 1), where N is the trace Sum_{i<n} F^i taken at level
-    n0 = (order of F) * (exponent of the torsion subgroup); the kernel is
-    recomputed at level 2*n0 and must agree, certifying that the tower of
-    cyclic levels has stabilized.
+    (torsion generators first, then free ones) with finite order, and
+    H^1 = (A/(F - 1)A)_tors.  Reason: H^1 is the union, over multiples n
+    of the period of F, of ker(N_n)/(F - 1)A with N_n the trace; since
+    N_n (F - 1) = 0 and over Q N_n is n times the projection onto the
+    invariants along (F - 1)A, that union is the set of x with a multiple
+    in (F - 1)A.
+
+    Raises InfiniteOrder when no power of `frobenius` up to `order_cap`
+    acts as the identity, and ValueError when it is not an endomorphism.
 
     >>> cyclic_h1(FgAbelianGroup.cyclic(2), IntegerMatrix.identity(1))
     FgAbelianGroup(free_rank=0, invariant_factors=(2,))
     """
+    endomorphism_order(group, frobenius, cap=order_cap)
     k = group.num_generators
-    if k == 0:
-        if frobenius.rows or frobenius.cols:
-            raise ValueError("matrix must be 0x0 for the trivial group")
-        return FgAbelianGroup.trivial()
-
-    m = endomorphism_order(group, frobenius, cap=order_cap)
-    ident = IntegerMatrix.identity(k)
     relations = _presentation_relations(group)
-
-    if group.is_finite:
-        return cokernel(hstack([relations, frobenius - ident], rows=k))
-
-    # Trace over one full period of the action.
-    trace = _reduce_endo(group, ident)
-    power = _reduce_endo(group, frobenius)
-    for _ in range(m - 1):
-        trace = _reduce_endo(group, trace + power)
-        power = _reduce_endo(group, power @ frobenius)
-
-    s = group.exponent()
-    level_one = _reduce_endo(group, trace.scale(s))
-    level_two = _reduce_endo(group, trace.scale(2 * s))
-    kernel_one = _preimage_lattice(level_one, relations)
-    kernel_two = _preimage_lattice(level_two, relations)
-    if not lattices_equal(kernel_one, kernel_two):
-        raise NoStabilization("cocycle kernels differ between level n0 and 2*n0")
-
-    coboundaries = hstack([relations, frobenius - ident], rows=k)
-    return subquotient(kernel_one, coboundaries)
+    coinvariant = cokernel(hstack([relations, frobenius - IntegerMatrix.identity(k)], rows=k))
+    return FgAbelianGroup(0, coinvariant.invariant_factors)

@@ -33,6 +33,13 @@ __all__ = [
 ]
 
 
+def json_int(x) -> int:
+    """An integer read from decoded JSON; float, bool and str raise TypeError."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
     x, next_x = 1, 0
@@ -218,8 +225,9 @@ class IntegerMatrix:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "IntegerMatrix":
-        m = cls.from_rows(d["entries"], cols=int(d["cols"]))
-        if m.rows != int(d["rows"]):
+        rows = [[json_int(x) for x in r] for r in d["entries"]]
+        m = cls.from_rows(rows, cols=json_int(d["cols"]))
+        if m.rows != json_int(d["rows"]):
             raise ValueError("row count does not match entries")
         return m
 
@@ -483,7 +491,7 @@ class FgAbelianGroup:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FgAbelianGroup":
-        return cls(int(d["free_rank"]), tuple(int(x) for x in d["invariant_factors"]))
+        return cls(json_int(d["free_rank"]), tuple(json_int(x) for x in d["invariant_factors"]))
 
     def __str__(self) -> str:
         parts = ["Z"] * self.free_rank + [f"C{d}" for d in self.invariant_factors]

@@ -18,11 +18,11 @@ from typing import Sequence, Union
 
 from .errors import (
     ContextMismatch,
-    DegreeIncompatible,
     EnumerationTooLarge,
     SpecialFibreVanishing,
 )
-from .padic import NormClass, PadicContext, PadicInt, eth_power_class, norm_class
+from .lattice import json_int
+from .padic import NormClass, PadicContext, PadicInt, _check_degree, eth_power_class, norm_class
 
 __all__ = [
     "MultivariatePolynomial",
@@ -127,7 +127,8 @@ class MultivariatePolynomial:
 
     @classmethod
     def from_json_list(cls, n_vars: int, data: Sequence[dict]) -> "MultivariatePolynomial":
-        return cls(n_vars, tuple((int(t["c"]), tuple(int(x) for x in t["exp"])) for t in data))
+        return cls(n_vars, tuple((json_int(t["c"]), tuple(json_int(x) for x in t["exp"]))
+                                 for t in data))
 
 
 @dataclass(frozen=True)
@@ -144,12 +145,7 @@ class NormTorsorFamily:
     f: MultivariatePolynomial
 
     def __post_init__(self) -> None:
-        if self.e < 1:
-            raise DegreeIncompatible("e must be positive")
-        if (self.context.p - 1) % self.e != 0:
-            raise DegreeIncompatible(
-                f"e = {self.e} does not divide p - 1 = {self.context.p - 1}"
-            )
+        _check_degree(self.context.p, self.e)
 
     @property
     def n_vars(self) -> int:
@@ -166,10 +162,10 @@ class NormTorsorFamily:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "NormTorsorFamily":
-        n_vars = int(d["n_vars"])
+        n_vars = json_int(d["n_vars"])
         return cls(
-            context=PadicContext(int(d["p"]), int(d["precision"])),
-            e=int(d["e"]),
+            context=PadicContext(json_int(d["p"]), json_int(d["precision"])),
+            e=json_int(d["e"]),
             f=MultivariatePolynomial.from_json_list(n_vars, d["f"]),
         )
 

@@ -18,7 +18,7 @@ from .galois import (
     coinvariants,
     cyclic_h1,
 )
-from .lattice import FgAbelianGroup, IntegerMatrix, cokernel, det_rows, unimodular_inverse
+from .lattice import FgAbelianGroup, IntegerMatrix, cokernel, det_rows, json_int, unimodular_inverse
 
 __all__ = [
     "TameTorusSpec",
@@ -55,7 +55,7 @@ class TameTorusSpec:
     @classmethod
     def from_json_dict(cls, d: dict) -> "TameTorusSpec":
         if d.get("torus") == "norm":
-            return norm_torus_spec(int(d["e"]))
+            return norm_torus_spec(json_int(d["e"]))
         return cls(GaloisLatticeModule.from_json_dict(d))
 
 
@@ -64,15 +64,14 @@ def norm_torus_spec(e: int) -> TameTorusSpec:
 
     Character lattice Z[G]/(N) for G = <s> cyclic of order e, presented on
     the images of 1, s, ..., s^(e-2) (rank e-1); s generates the inertia
-    action, wild inertia is trivial, and Frobenius acts trivially.
+    action, wild inertia is trivial, and Frobenius acts trivially (the
+    module carries no Frobenius matrix, which means the identity).
     """
     if e < 1:
         raise ValueError("degree e must be at least 1")
     rank = e - 1
     if rank == 0:
-        return TameTorusSpec(
-            GaloisLatticeModule(0, (), (), (), frobenius=IntegerMatrix.identity(0))
-        )
+        return TameTorusSpec(GaloisLatticeModule(0, ()))
     # Column i < rank-1 sends basis vector i to vector i+1; the last basis
     # vector maps to minus the sum of all of them (the relation N = 0).
     sigma = IntegerMatrix.from_rows(
@@ -80,11 +79,7 @@ def norm_torus_spec(e: int) -> TameTorusSpec:
          for r in range(rank)],
         cols=rank,
     )
-    module = GaloisLatticeModule(
-        rank, (sigma,), inertia=(0,), wild_inertia=(),
-        frobenius=IntegerMatrix.identity(rank),
-    )
-    return TameTorusSpec(module)
+    return TameTorusSpec(GaloisLatticeModule(rank, (sigma,), inertia=(0,)))
 
 
 def cocharacter_action(spec: TameTorusSpec) -> GaloisLatticeModule:

@@ -11,8 +11,18 @@ import itertools
 import math
 import random
 
+from tametorus.errors import InfiniteOrder, NoStabilization
 from tametorus.galois import GaloisLatticeModule
-from tametorus.lattice import IntegerMatrix, unimodular_inverse
+from tametorus.lattice import (
+    FgAbelianGroup,
+    IntegerMatrix,
+    hstack,
+    image_basis,
+    kernel_basis,
+    lattices_equal,
+    subquotient,
+    unimodular_inverse,
+)
 
 
 def det_cofactor(rows: list[list[int]]) -> int:
@@ -97,3 +107,92 @@ def random_finite_action_module(rng: random.Random, rank: int) -> GaloisLatticeM
     inertia = tuple(sorted(rng.sample(indices, rng.randrange(0, n_gens + 1))))
     wild = tuple(sorted(rng.sample(inertia, rng.randrange(0, len(inertia) + 1)))) if inertia else ()
     return GaloisLatticeModule(rank, gens, inertia=inertia, wild_inertia=wild)
+
+
+def random_order_bounded_action(rng: random.Random):
+    """A presented group of at most 4 generators with an automorphism of
+    multiplicative order at most 6, or None when the draw misses."""
+    chains = [(), (2,), (3,), (4,), (6,), (2, 2), (2, 4), (2, 6), (3, 3), (3, 6), (2, 2, 2)]
+    factors = rng.choice(chains)
+    free = rng.randrange(0, 5 - len(factors))
+    group = FgAbelianGroup(free, factors)
+    k = group.num_generators
+    if k == 0:
+        return None
+    t = len(factors)
+    rows = [[0] * k for _ in range(k)]
+    for i in range(t):  # torsion block: signs, plus swaps of equal factors
+        rows[i][i] = rng.choice((1, -1))
+    for i in range(t - 1):
+        if factors[i] == factors[i + 1] and rng.random() < 0.3:
+            rows[i][i], rows[i][i + 1] = 0, rows[i][i]
+            rows[i + 1][i + 1], rows[i + 1][i] = 0, rng.choice((1, -1))
+    pool_1 = [[[1]], [[-1]]]
+    pool_2 = [
+        [[1, 0], [0, 1]], [[-1, 0], [0, -1]], [[0, 1], [1, 0]],
+        [[0, -1], [1, 0]], [[0, -1], [1, -1]], [[1, -1], [1, 0]],
+    ]
+    if free == 1:
+        block = rng.choice(pool_1)
+    elif free == 2:
+        block = rng.choice(pool_2)
+    else:
+        block = [[0] * free for _ in range(free)]
+        perm = list(range(free))
+        rng.shuffle(perm)
+        for i in range(free):
+            block[i][perm[i]] = rng.choice((1, -1))
+    for i in range(free):
+        for j in range(free):
+            rows[t + i][t + j] = block[i][j]
+    for i in range(t):  # mixing block: free generators may shear into torsion
+        for j in range(free):
+            rows[i][t + j] = rng.randint(-2, 2)
+    return group, IntegerMatrix.from_rows(rows, cols=k)
+
+
+def h1_by_trace_kernel(group: FgAbelianGroup, frobenius: IntegerMatrix,
+                       order_cap: int = 10_000) -> FgAbelianGroup:
+    """H^1 of a finite-order Frobenius F as ker(s N)/im(F - 1) (reference).
+
+    N is the trace I + F + ... + F^(m-1) over one period m and s the
+    exponent of the torsion subgroup, so s N is the trace at level
+    n0 = m s.  The cocycle kernel is recomputed at level 2 n0 and must
+    agree, certifying that the tower of cyclic levels has stabilized;
+    NoStabilization is raised otherwise.  Shares no code with `cyclic_h1`,
+    which reads the same group off the torsion of A/(F - 1)A.
+    """
+    k = group.num_generators
+    d = group.invariant_factors
+    t = len(d)
+
+    def reduce(m: IntegerMatrix) -> IntegerMatrix:
+        rows = m.to_rows()
+        for j in range(t):
+            rows[j] = [x % d[j] for x in rows[j]]
+        return IntegerMatrix.from_rows(rows, cols=k)
+
+    ident = reduce(IntegerMatrix.identity(k))
+    trace, power = ident, reduce(frobenius)
+    for _ in range(order_cap):
+        if power == ident:
+            break
+        trace = reduce(trace + power)
+        power = reduce(power @ frobenius)
+    else:
+        raise InfiniteOrder(f"no power up to {order_cap} acts as the identity")
+
+    relations = IntegerMatrix.from_cols(
+        [[d[i] if r == i else 0 for r in range(k)] for i in range(t)], rows=k)
+
+    def cocycle_kernel(level: int) -> IntegerMatrix:
+        """Basis of {x : level * N x lies in the relation lattice}."""
+        kern = kernel_basis(hstack([reduce(trace.scale(level)), relations], rows=k))
+        return image_basis(IntegerMatrix.from_rows(kern.to_rows()[:k], cols=kern.cols))
+
+    s = d[-1] if d else 1
+    kernel = cocycle_kernel(s)
+    if not lattices_equal(kernel, cocycle_kernel(2 * s)):
+        raise NoStabilization("cocycle kernels differ between level n0 and 2*n0")
+    coboundaries = hstack([relations, frobenius - IntegerMatrix.identity(k)], rows=k)
+    return subquotient(kernel, coboundaries)

@@ -145,6 +145,20 @@ def test_malformed_input_exit_code(capsys):
     assert json.loads(err)["error"] == "malformed-input"
 
 
+@pytest.mark.parametrize("argv", [
+    ("snf", "--matrix", '{"rows":1,"cols":1,"entries":[[2.7]]}'),
+    ("snf", "--matrix", '{"rows":1,"cols":1,"entries":[[true]]}'),
+    ("h1", "--group", '{"free_rank":0,"invariant_factors":[2.9]}', "--frobenius", "identity"),
+    ("eval-torsor", "--family",
+     '{"p":5,"precision":6,"e":2,"n_vars":1,"f":[{"c":1,"exp":[1.5]}]}', "--point", "2"),
+], ids=["float-entry", "bool-entry", "float-factor", "float-exponent"])
+def test_non_integer_json_is_malformed(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "malformed-input"
+
+
 def test_reports_reparse_under_schema(capsys):
     # round-trip: matrices and groups the CLI emits re-parse
     from tametorus.lattice import FgAbelianGroup, IntegerMatrix

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tametorus import galois
+from tametorus import galois, lattice
 from tametorus.errors import ClosureCapExceeded, InfiniteOrder, NotUnimodular
 from tametorus.galois import (
     GaloisLatticeModule,
@@ -23,7 +23,13 @@ from tametorus.lattice import (
     vstack,
 )
 
-from helpers import random_finite_action_module, random_signed_permutation, random_unimodular
+from helpers import (
+    h1_by_trace_kernel,
+    random_finite_action_module,
+    random_order_bounded_action,
+    random_signed_permutation,
+    random_unimodular,
+)
 
 
 def mat(rows):
@@ -282,12 +288,36 @@ class TestCyclicH1:
 
     def test_mixed_group_with_shear(self):
         # Z/2 (+) Z with F fixing the torsion generator and shearing the free
-        # generator into it.  By hand: the level-4 trace kills exactly the
-        # vectors with zero free part, ker = <(1,0)> = im(F-1), so H^1 = 0.
+        # generator into it.  By hand: (F-1)A = <(1,0)>, so A/(F-1)A = Z is
+        # torsion-free and H^1 = 0.
         group = FgAbelianGroup(1, (2,))
         f = mat([[1, 1], [0, 1]])
         assert endomorphism_order(group, f) == 2
         assert cyclic_h1(group, f).is_trivial
+
+    def test_one_snf_per_call(self, monkeypatch):
+        calls = []
+        snf = lattice.smith_normal_form
+        monkeypatch.setattr(lattice, "smith_normal_form", lambda a: calls.append(a) or snf(a))
+        assert cyclic_h1(FgAbelianGroup(1, (2,)), mat([[1, 1], [0, 1]])).is_trivial
+        assert len(calls) == 1
+
+    def test_agrees_with_trace_kernel_reference(self):
+        rng = random.Random(3_2026)
+        actions = with_free = 0
+        while actions < 400:
+            drawn = random_order_bounded_action(rng)
+            if drawn is None:
+                continue
+            group, f = drawn
+            try:
+                endomorphism_order(group, f, cap=6)
+            except InfiniteOrder:
+                continue
+            actions += 1
+            with_free += group.free_rank > 0
+            assert cyclic_h1(group, f) == h1_by_trace_kernel(group, f), (group, f)
+        assert with_free > actions // 2
 
     def test_finite_group_sign_action(self):
         # Z/5 with F = -1: (F-1) = -2 is invertible mod 5, so H^1 = 0

@@ -134,7 +134,7 @@ class TestComponentGroup:
             )
             assert component_group(TameTorusSpec(conjugated)).group == base
 
-    def test_one_closure_and_at_most_seven_snfs(self, monkeypatch):
+    def test_one_closure_and_at_most_five_snfs(self, monkeypatch):
         counts = {"snf": 0, "closure": 0}
 
         def counting(key, fn):
@@ -148,7 +148,7 @@ class TestComponentGroup:
         monkeypatch.setattr(galois, "close_group", counting("closure", galois.close_group))
         assert h1_frobenius(component_group(norm_torus_spec(6))) == FgAbelianGroup(0, (6,))
         assert counts["closure"] == 1
-        assert counts["snf"] <= 7
+        assert counts["snf"] <= 5
 
     def test_frobenius_action_is_validated(self):
         with pytest.raises(ValueError):
