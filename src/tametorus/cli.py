@@ -1,8 +1,11 @@
 """Command-line front door: JSON in, JSON report out.
 
-Exit status 0 on success, 1 on a domain error (with a machine-readable
-{"error": ..., "detail": ...} report), 2 on malformed input.  Output is
-byte-identical for identical inputs and seeds.
+Exit status 0 on success; 1 on a domain error or a bad flag value (such
+as `--p 9` or `--samples 0`); 2 on malformed input, which includes every
+JSON document its reader rejects (a missing key, a non-integer, a ragged
+matrix, a shape or index that does not fit).  A nonzero exit writes
+{"error": ..., "detail": ...} to stderr and nothing to stdout.  Output
+is byte-identical for identical inputs and seeds.
 """
 
 from __future__ import annotations
@@ -12,23 +15,10 @@ import json
 import re
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from . import galois, lattice, padic, torsor, torus
 from .errors import DomainError
-
-_EXAMPLES = {
-    "snf": 'tametorus snf --matrix \'{"rows":2,"cols":2,"entries":[[2,4],[6,8]]}\'',
-    "coinvariants": "tametorus coinvariants --module module.json --subgroup inertia",
-    "tame-quotient": "tametorus tame-quotient --module module.json",
-    "component-group": "tametorus component-group --torus norm --e 2   (order-2 group)",
-    "h1": 'tametorus h1 --group \'{"free_rank":0,"invariant_factors":[2]}\' --frobenius identity',
-    "norm-class": "tametorus norm-class --p 5 --e 2 --a 2 --precision 6",
-    "oracle-norm-class": "tametorus oracle-norm-class --p 5 --e 2 --a 2 --precision 6 --search-precision 3",
-    "eval-torsor": "tametorus eval-torsor --family family.json --point 1,2",
-    "verify-diagram": "tametorus verify-diagram --family family.json --samples 10000 --seed 42",
-    "constancy": "tametorus constancy --family family.json",
-}
 
 
 class MalformedInput(Exception):
@@ -49,42 +39,24 @@ def _load_json_arg(value: str) -> dict:
             raise MalformedInput(f"cannot read {value}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise MalformedInput(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise MalformedInput("expected a JSON object")
     return data
 
 
-def _parse_matrix(value: str) -> lattice.IntegerMatrix:
+def _read_json(value: str, reader: Callable[[dict], object], what: str):
+    """Load a JSON argument and build it with `reader`.
+
+    A document the reader rejects with KeyError, TypeError or ValueError
+    is malformed input (exit 2); a DomainError passes through (exit 1).
+    """
+    data = _load_json_arg(value)
     try:
-        return lattice.IntegerMatrix.from_json_dict(_load_json_arg(value))
+        return reader(data)
     except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInput(f"bad matrix: {exc}") from exc
-
-
-def _parse_module(value: str) -> galois.GaloisLatticeModule:
-    data = _load_json_arg(value)
-    try:
-        return galois.GaloisLatticeModule.from_json_dict(data)
-    except (KeyError, TypeError) as exc:
-        raise MalformedInput(f"bad module: {exc}") from exc
-
-
-def _parse_group(value: str) -> lattice.FgAbelianGroup:
-    data = _load_json_arg(value)
-    try:
-        return lattice.FgAbelianGroup.from_json_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInput(f"bad group: {exc}") from exc
-
-
-def _parse_family(value: str) -> torsor.NormTorsorFamily:
-    data = _load_json_arg(value)
-    try:
-        return torsor.NormTorsorFamily.from_json_dict(data)
-    except (KeyError, TypeError) as exc:
-        raise MalformedInput(f"bad family: {exc}") from exc
+        raise MalformedInput(f"bad {what}: {exc}") from exc
 
 
 def _parse_point(value: str, expected: int) -> list[int]:
@@ -98,7 +70,8 @@ def _parse_point(value: str, expected: int) -> list[int]:
 
 
 def _cmd_snf(args) -> dict:
-    result = lattice.smith_normal_form(_parse_matrix(args.matrix))
+    matrix = _read_json(args.matrix, lattice.IntegerMatrix.from_json_dict, "matrix")
+    result = lattice.smith_normal_form(matrix)
     return {
         "U": result.U.to_json_dict(),
         "S": result.S.to_json_dict(),
@@ -106,31 +79,26 @@ def _cmd_snf(args) -> dict:
     }
 
 
-def _cmd_coinvariants(args) -> dict:
-    module = _parse_module(args.module)
-    quotient = galois.coinvariants(module, args.subgroup)
+def _quotient_report(quotient: lattice.LatticeQuotient) -> dict:
     return {
         "group": quotient.group.to_json_dict(),
         "projection": quotient.projection.to_json_dict(),
     }
+
+
+def _cmd_coinvariants(args) -> dict:
+    module = _read_json(args.module, galois.GaloisLatticeModule.from_json_dict, "module")
+    return _quotient_report(galois.coinvariants(module, args.subgroup))
 
 
 def _cmd_tame_quotient(args) -> dict:
-    module = _parse_module(args.module)
-    quotient = galois.largest_trivial_free_quotient(module)
-    return {
-        "group": quotient.group.to_json_dict(),
-        "projection": quotient.projection.to_json_dict(),
-    }
+    module = _read_json(args.module, galois.GaloisLatticeModule.from_json_dict, "module")
+    return _quotient_report(galois.largest_trivial_free_quotient(module))
 
 
 def _cmd_component_group(args) -> dict:
     if args.module is not None:
-        data = _load_json_arg(args.module)
-        try:
-            spec = torus.TameTorusSpec.from_json_dict(data)
-        except (KeyError, TypeError) as exc:
-            raise MalformedInput(f"bad torus description: {exc}") from exc
+        spec = _read_json(args.module, torus.TameTorusSpec.from_json_dict, "torus description")
     elif args.torus == "norm":
         if args.e is None:
             raise MalformedInput("--e is required with --torus norm")
@@ -144,42 +112,84 @@ def _cmd_component_group(args) -> dict:
 
 
 def _cmd_h1(args) -> dict:
-    group = _parse_group(args.group)
+    group = _read_json(args.group, lattice.FgAbelianGroup.from_json_dict, "group")
     if args.frobenius == "identity":
         frob = lattice.IntegerMatrix.identity(group.num_generators)
     else:
-        frob = _parse_matrix(args.frobenius)
+        frob = _read_json(args.frobenius, lattice.IntegerMatrix.from_json_dict, "matrix")
     return galois.cyclic_h1(group, frob).to_json_dict()
 
 
-def _make_context(args) -> padic.PadicContext:
-    return padic.PadicContext(args.p, args.precision)
-
-
 def _cmd_norm_class(args) -> dict:
-    ctx = _make_context(args)
+    ctx = padic.PadicContext(args.p, args.precision)
     return padic.norm_class(ctx.integer(args.a), args.e).to_json_dict()
 
 
 def _cmd_oracle_norm_class(args) -> dict:
-    ctx = _make_context(args)
+    ctx = padic.PadicContext(args.p, args.precision)
     return padic.norm_class_oracle(ctx.integer(args.a), args.e, args.search_precision).to_json_dict()
 
 
 def _cmd_eval_torsor(args) -> dict:
-    family = _parse_family(args.family)
+    family = _read_json(args.family, torsor.NormTorsorFamily.from_json_dict, "family")
     point = _parse_point(args.point, family.n_vars)
     return torsor.evaluate(family, point).to_json_dict()
 
 
 def _cmd_verify_diagram(args) -> dict:
-    family = _parse_family(args.family)
+    family = _read_json(args.family, torsor.NormTorsorFamily.from_json_dict, "family")
     return torsor.verify_factorization(family, args.samples, args.seed).to_json_dict()
 
 
 def _cmd_constancy(args) -> dict:
-    family = _parse_family(args.family)
+    family = _read_json(args.family, torsor.NormTorsorFamily.from_json_dict, "family")
     return torsor.constancy_check(family).to_json_dict()
+
+
+_MODULE = ("--module", dict(required=True, help="module JSON (inline or path)"))
+_FAMILY = ("--family", dict(required=True, help="family JSON (inline or path)"))
+_PADIC = [
+    ("--p", dict(type=int, required=True, help="odd prime")),
+    ("--e", dict(type=int, required=True, help="degree, must divide p-1")),
+    ("--a", dict(type=int, required=True, help="the element, as an integer")),
+    ("--precision", dict(type=int, default=6, help="working precision N")),
+]
+
+# Each subcommand: its handler, the example in its epilog, and its
+# arguments as (flag, options) pairs.  Every subcommand also takes --output.
+_COMMANDS = {
+    "snf": (_cmd_snf, 'tametorus snf --matrix \'{"rows":2,"cols":2,"entries":[[2,4],[6,8]]}\'', [
+        ("--matrix", dict(required=True, help="matrix JSON (inline or a file path)"))]),
+    "coinvariants": (_cmd_coinvariants,
+                     "tametorus coinvariants --module module.json --subgroup inertia", [
+        _MODULE, ("--subgroup", dict(default="full", choices=galois.SUBGROUP_SELECTORS))]),
+    "tame-quotient": (_cmd_tame_quotient, "tametorus tame-quotient --module module.json",
+                      [_MODULE]),
+    "component-group": (_cmd_component_group,
+                        "tametorus component-group --torus norm --e 2   (order-2 group)", [
+        ("--torus", dict(choices=["norm"], help="built-in torus family")),
+        ("--e", dict(type=int, help="degree of the norm torus")),
+        ("--module", dict(help="explicit character module JSON instead of --torus")),
+        ("--with-frobenius", dict(action="store_true",
+                                  help="include the descended Frobenius matrix in the report"))]),
+    "h1": (_cmd_h1, "tametorus h1 --group '{\"free_rank\":0,\"invariant_factors\":[2]}' "
+                    "--frobenius identity", [
+        ("--group", dict(required=True, help="group JSON (inline or path)")),
+        ("--frobenius", dict(required=True, help="matrix JSON, or the literal 'identity'"))]),
+    "norm-class": (_cmd_norm_class, "tametorus norm-class --p 5 --e 2 --a 2 --precision 6",
+                   _PADIC),
+    "oracle-norm-class": (_cmd_oracle_norm_class, "tametorus oracle-norm-class --p 5 --e 2 "
+                          "--a 2 --precision 6 --search-precision 3", _PADIC + [
+        ("--search-precision", dict(type=int, default=2,
+                                    help="coefficient vectors are exhausted mod p^this"))]),
+    "eval-torsor": (_cmd_eval_torsor, "tametorus eval-torsor --family family.json --point 1,2", [
+        _FAMILY, ("--point", dict(required=True, help="comma-separated integer coordinates"))]),
+    "verify-diagram": (_cmd_verify_diagram,
+                       "tametorus verify-diagram --family family.json --samples 10000 --seed 42",
+                       [_FAMILY, ("--samples", dict(type=int, default=10_000)),
+                        ("--seed", dict(type=int, default=0))]),
+    "constancy": (_cmd_constancy, "tametorus constancy --family family.json", [_FAMILY]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,63 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
         "and torsor-evaluation checks over the special fibre.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, configure):
-        p = sub.add_parser(name, epilog=f"example: {_EXAMPLES[name]}")
-        configure(p)
+    for name, (func, example, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, epilog=f"example: {example}")
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
         p.add_argument("--output", help="write the JSON report here instead of stdout")
         p.set_defaults(func=func)
-
-    add("snf", _cmd_snf, lambda p: p.add_argument("--matrix", required=True,
-        help="matrix JSON (inline or a file path)"))
-
-    def conf_coinv(p):
-        p.add_argument("--module", required=True, help="module JSON (inline or path)")
-        p.add_argument("--subgroup", default="full", choices=galois.SUBGROUP_SELECTORS)
-    add("coinvariants", _cmd_coinvariants, conf_coinv)
-
-    add("tame-quotient", _cmd_tame_quotient, lambda p: p.add_argument(
-        "--module", required=True, help="module JSON (inline or path)"))
-
-    def conf_cg(p):
-        p.add_argument("--torus", choices=["norm"], help="built-in torus family")
-        p.add_argument("--e", type=int, help="degree of the norm torus")
-        p.add_argument("--module", help="explicit character module JSON instead of --torus")
-        p.add_argument("--with-frobenius", action="store_true",
-                       help="include the descended Frobenius matrix in the report")
-    add("component-group", _cmd_component_group, conf_cg)
-
-    def conf_h1(p):
-        p.add_argument("--group", required=True, help="group JSON (inline or path)")
-        p.add_argument("--frobenius", required=True,
-                       help="matrix JSON, or the literal 'identity'")
-    add("h1", _cmd_h1, conf_h1)
-
-    def conf_padic(p, oracle):
-        p.add_argument("--p", type=int, required=True, help="odd prime")
-        p.add_argument("--e", type=int, required=True, help="degree, must divide p-1")
-        p.add_argument("--a", type=int, required=True, help="the element, as an integer")
-        p.add_argument("--precision", type=int, default=6, help="working precision N")
-        if oracle:
-            p.add_argument("--search-precision", type=int, default=2,
-                           help="coefficient vectors are exhausted mod p^this")
-    add("norm-class", _cmd_norm_class, lambda p: conf_padic(p, oracle=False))
-    add("oracle-norm-class", _cmd_oracle_norm_class, lambda p: conf_padic(p, oracle=True))
-
-    def conf_eval(p):
-        p.add_argument("--family", required=True, help="family JSON (inline or path)")
-        p.add_argument("--point", required=True, help="comma-separated integer coordinates")
-    add("eval-torsor", _cmd_eval_torsor, conf_eval)
-
-    def conf_verify(p):
-        p.add_argument("--family", required=True, help="family JSON (inline or path)")
-        p.add_argument("--samples", type=int, default=10_000)
-        p.add_argument("--seed", type=int, default=0)
-    add("verify-diagram", _cmd_verify_diagram, conf_verify)
-
-    add("constancy", _cmd_constancy, lambda p: p.add_argument(
-        "--family", required=True, help="family JSON (inline or path)"))
-
     return parser
 
 

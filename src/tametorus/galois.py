@@ -127,9 +127,8 @@ class GaloisLatticeModule:
 
     def __init__(self, lattice_rank: int, generators: Sequence[IntegerMatrix],
                  inertia: Sequence[int] = (), wild_inertia: Sequence[int] = (),
-                 frobenius: Optional[IntegerMatrix] = None, *,
-                 closure_cap: int = DEFAULT_CLOSURE_CAP):
-        self._assign(lattice_rank, generators, inertia, wild_inertia, frobenius, closure_cap)
+                 frobenius: Optional[IntegerMatrix] = None):
+        self._assign(lattice_rank, generators, inertia, wild_inertia, frobenius)
 
         for g in self.generators:
             if g.rows != lattice_rank or g.cols != lattice_rank:
@@ -155,13 +154,12 @@ class GaloisLatticeModule:
                 if (frobenius @ g @ f_inv) not in self.inertia_group:
                     raise ValueError("frobenius does not normalize the inertia action")
 
-    def _assign(self, lattice_rank, generators, inertia, wild_inertia, frobenius, closure_cap):
+    def _assign(self, lattice_rank, generators, inertia, wild_inertia, frobenius):
         self.lattice_rank = lattice_rank
         self.generators = tuple(generators)
         self.inertia_indices = tuple(inertia)
         self.wild_indices = tuple(wild_inertia)
         self.frobenius = frobenius
-        self._closure_cap = closure_cap
         self._closures: dict[tuple[IntegerMatrix, ...], MatrixGroup] = {}
 
     @classmethod
@@ -174,8 +172,7 @@ class GaloisLatticeModule:
     def _closure(self, subgroup: str) -> MatrixGroup:
         gens = self.subgroup_generators(subgroup)
         if gens not in self._closures:
-            self._closures[gens] = close_group(gens, dimension=self.lattice_rank,
-                                               cap=self._closure_cap)
+            self._closures[gens] = close_group(gens, dimension=self.lattice_rank)
         return self._closures[gens]
 
     full_group = property(lambda self: self._closure("full"))

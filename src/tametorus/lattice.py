@@ -577,8 +577,9 @@ class LatticeQuotient:
     quotient.
 
     Construction takes one Smith form.  The section (a second one, for
-    the inverse of U) is computed on the first `lift` or `descend` and
-    cached; it is deterministic, so a concurrent first read is harmless.
+    the inverse of U) is computed on the first `lift` or the first
+    `descend` of a non-identity map, and cached; it is deterministic, so
+    a concurrent first read is harmless.
     """
 
     def __init__(self, relations: IntegerMatrix):
@@ -627,6 +628,8 @@ class LatticeQuotient:
         """
         if endo.rows != self.ambient_rank or endo.cols != self.ambient_rank:
             raise ValueError("endomorphism shape mismatch")
+        if endo.is_identity():
+            return IntegerMatrix.identity(len(self.orders))
         for j in range(self.relations.cols):
             image = self.project(endo.apply(self.relations.col(j)))
             if any(image):

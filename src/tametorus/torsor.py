@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 CONSTANCY_ENUMERATION_CAP = 10 ** 6
+SAMPLE_COUNT_CAP = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -273,10 +274,11 @@ def verify_factorization(family: NormTorsorFamily, sample_count: int, seed: int)
     a congruent partner point Q = P + p*(random) is checked against the
     same special-fibre class, which is the operational content of the
     factorization (the class depends only on P mod p).  Disagreements
-    are recorded, not raised.  Deterministic for a given seed.
+    are recorded, not raised.  Deterministic for a given seed; the count
+    must lie in [1, SAMPLE_COUNT_CAP].
     """
-    if sample_count < 1:
-        raise ValueError("sample_count must be at least 1")
+    if not 1 <= sample_count <= SAMPLE_COUNT_CAP:
+        raise ValueError(f"sample_count must be between 1 and {SAMPLE_COUNT_CAP}")
     rng = random.Random(seed)
     primaries = sample_points(family, sample_count, rng)
     p = family.context.p

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 from .errors import FrobeniusDoesNotDescend, TamenessViolation
 from .galois import (
     GaloisLatticeModule,
+    _presentation_relations,
     check_presented_endomorphism,
     coinvariants,
     cyclic_h1,
 )
-from .lattice import FgAbelianGroup, IntegerMatrix, cokernel, det_rows, json_int, unimodular_inverse
+from .lattice import FgAbelianGroup, IntegerMatrix, cokernel, hstack, json_int, unimodular_inverse
 
 __all__ = [
     "TameTorusSpec",
@@ -102,7 +103,6 @@ def cocharacter_action(spec: TameTorusSpec) -> GaloisLatticeModule:
         mod.inertia_indices,
         mod.wild_indices,
         None if mod.frobenius is None else dual(mod.frobenius),
-        mod._closure_cap,
     )
 
 
@@ -112,6 +112,8 @@ class ComponentGroup:
 
     `frobenius_action` is a matrix on normal-form coordinates of `group`
     (torsion generators first, then free) and must be an automorphism.
+    A surjective endomorphism of a finitely generated abelian group is
+    one, so it suffices that the image and the relations span Z^k.
     """
 
     group: FgAbelianGroup
@@ -119,17 +121,10 @@ class ComponentGroup:
 
     def __post_init__(self) -> None:
         check_presented_endomorphism(self.group, self.frobenius_action)
-        d = self.group.invariant_factors
-        t = len(d)
-        rows = self.frobenius_action.to_rows()
-        if det_rows([r[t:] for r in rows[t:]]) not in (1, -1):
-            raise ValueError("frobenius_action is not invertible on the free part")
-        # Surjective on the torsion part: the torsion block and the
-        # relations d_i e_i together span Z^t.
-        torsion = [r[:t] + [d[i] if i == j else 0 for j in range(t)]
-                   for i, r in enumerate(rows[:t])]
-        if t and not cokernel(IntegerMatrix.from_rows(torsion, cols=2 * t)).is_trivial:
-            raise ValueError("frobenius_action is not surjective on the torsion part")
+        spans = hstack([_presentation_relations(self.group), self.frobenius_action],
+                       rows=self.group.num_generators)
+        if not cokernel(spans).is_trivial:
+            raise ValueError("frobenius_action is not an automorphism")
 
     def to_json_dict(self) -> dict:
         return {

@@ -151,6 +151,42 @@ def random_order_bounded_action(rng: random.Random):
     return group, IntegerMatrix.from_rows(rows, cols=k)
 
 
+def random_presented_endomorphism(rng: random.Random):
+    """A group of at most 4 generators in normal form with a random
+    endomorphism of its presentation (torsion block entries are multiples
+    of d_j / gcd(d_i, d_j), the torsion-to-free block is zero)."""
+    chains = [(), (2,), (3,), (4,), (6,), (2, 2), (2, 4), (3, 6), (2, 2, 2)]
+    factors = rng.choice(chains)
+    group = FgAbelianGroup(rng.randrange(0, 5 - len(factors)), factors)
+    k, t = group.num_generators, len(factors)
+    rows = [[0] * k for _ in range(k)]
+    for j in range(k):
+        for i in range(k):
+            if j < t and i < t:
+                rows[j][i] = rng.randint(-2, 2) * (factors[j] // math.gcd(factors[i], factors[j]))
+            elif j < t or i >= t:  # a free generator maps anywhere; torsion never to free
+                rows[j][i] = rng.randint(-1, 1) if rng.random() < 0.6 else 0
+    return group, IntegerMatrix.from_rows(rows, cols=k)
+
+
+def is_automorphism_by_blocks(group: FgAbelianGroup, matrix: IntegerMatrix) -> bool:
+    """Automorphism test on the two diagonal blocks (reference).
+
+    The free block must have determinant +/-1, and the torsion block
+    together with the relations d_i e_i must span Z^t, which holds
+    exactly when the gcd of the t x t minors of [torsion block | diag(d)]
+    is 1.  Shares no code with `ComponentGroup`, which asks instead that
+    the image and the relations span all of Z^k.
+    """
+    d = group.invariant_factors
+    t = len(d)
+    rows = matrix.to_rows()
+    if det_cofactor([r[t:] for r in rows[t:]]) not in (1, -1):
+        return False
+    torsion = [r[:t] + [d[i] if i == j else 0 for j in range(t)] for i, r in enumerate(rows[:t])]
+    return invariant_factors_by_minors(IntegerMatrix.from_rows(torsion, cols=2 * t)) == (1,) * t
+
+
 def h1_by_trace_kernel(group: FgAbelianGroup, frobenius: IntegerMatrix,
                        order_cap: int = 10_000) -> FgAbelianGroup:
     """H^1 of a finite-order Frobenius F as ker(s N)/im(F - 1) (reference).

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tametorus.cli import main
 
@@ -159,6 +164,13 @@ def test_non_integer_json_is_malformed(capsys, argv):
     assert json.loads(err)["error"] == "malformed-input"
 
 
+def test_deeply_nested_json_is_malformed(capsys):
+    code, out, err = run_cli(capsys, "snf", "--matrix", '{"rows":' + "[" * 100_000)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "malformed-input"
+
+
 def test_reports_reparse_under_schema(capsys):
     # round-trip: matrices and groups the CLI emits re-parse
     from tametorus.lattice import FgAbelianGroup, IntegerMatrix
@@ -172,3 +184,145 @@ def test_reports_reparse_under_schema(capsys):
     code, out, _ = run_cli(capsys, "component-group", "--torus", "norm", "--e", "4")
     assert code == 0
     assert FgAbelianGroup.from_json_dict(json.loads(out)).order() == 4
+
+
+def test_sample_count_is_bounded(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify-diagram", "--family", FAMILY,
+                             "--samples", "1000001")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "invalid-value"
+
+
+def _module(**changes):
+    base = {"lattice_rank": 2,
+            "generators": [{"rows": 2, "cols": 2, "entries": [[0, 1], [1, 0]]}],
+            "inertia": [0], "wild_inertia": [], "frobenius": None}
+    return json.dumps({**base, **changes})
+
+
+def _family(**changes):
+    base = {"p": 5, "precision": 4, "e": 2, "n_vars": 1, "f": [{"c": 1, "exp": [1]}]}
+    return json.dumps({**base, **changes})
+
+
+def _diag(*d):
+    n = len(d)
+    return {"rows": n, "cols": n, "entries": [[d[i] if i == j else 0 for j in range(n)]
+                                              for i in range(n)]}
+
+
+RAGGED = {"rows": 2, "cols": 2, "entries": [[1, 0], [0]]}
+
+# Documents their reader rejects, by the kind of document they are.
+SHAPE_ERRORS = {
+    "module": {
+        "ragged-entries": _module(generators=[RAGGED]),
+        "generator-shape": _module(lattice_rank=3),
+        "frobenius-shape": _module(frobenius=_diag(1)),
+        "inertia-index": _module(inertia=[1]),
+        "wild-index": _module(wild_inertia=[3]),
+        "frobenius-not-normalizing": _module(
+            generators=[_diag(-1, 1)],
+            frobenius={"rows": 2, "cols": 2, "entries": [[1, 1], [0, 1]]}),
+        "wild-outside-inertia": _module(generators=[_diag(-1, 1), _diag(1, -1)],
+                                        inertia=[0], wild_inertia=[1]),
+    },
+    "torus": {"norm-degree-zero": json.dumps({"torus": "norm", "e": 0})},
+    "family": {
+        "non-prime-p": _family(p=9),
+        "precision-one": _family(precision=1),
+        "exponent-length": _family(f=[{"c": 1, "exp": [1, 0]}]),
+    },
+    "matrix": {"ragged-entries": json.dumps(RAGGED)},
+}
+DOC = object()  # where the document goes in a command line
+READERS = {
+    "module": [("coinvariants", "--module", DOC), ("tame-quotient", "--module", DOC),
+               ("component-group", "--module", DOC)],
+    "torus": [("component-group", "--module", DOC)],
+    "family": [("eval-torsor", "--family", DOC, "--point", "1"),
+               ("verify-diagram", "--family", DOC, "--samples", "10"),
+               ("constancy", "--family", DOC)],
+    "matrix": [("snf", "--matrix", DOC),
+               ("h1", "--group", '{"free_rank":0,"invariant_factors":[2]}', "--frobenius", DOC)],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param([doc if a is DOC else a for a in command], id=f"{command[0]}-{kind}-{name}")
+    for kind, docs in SHAPE_ERRORS.items()
+    for name, doc in docs.items()
+    for command in READERS[kind]
+])
+def test_rejected_document_is_malformed(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "malformed-input"
+
+
+VALID_REQUESTS = [
+    ("coinvariants", "--module", _module(), "--subgroup", "inertia"),
+    ("tame-quotient", "--module", _module(wild_inertia=[0])),
+    ("component-group", "--module", _module(frobenius=_diag(-1, -1))),
+    ("component-group", "--module", json.dumps({"torus": "norm", "e": 6}), "--with-frobenius"),
+    ("snf", "--matrix", json.dumps({"rows": 2, "cols": 3, "entries": [[2, 4, 1], [6, 8, 3]]})),
+    ("h1", "--group", '{"free_rank":1,"invariant_factors":[2,4]}',
+     "--frobenius", json.dumps(_diag(1, -1, 1))),
+    ("eval-torsor", "--family", FAMILY, "--point", "1,0"),
+    ("verify-diagram", "--family", FAMILY, "--samples", "20"),
+    ("constancy", "--family", _family(f=[{"c": 1, "exp": [2]}, {"c": 2, "exp": [0]}])),
+]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats(-4, 4) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_mutated_documents_keep_the_exit_contract(data):
+    argv = list(data.draw(st.sampled_from(VALID_REQUESTS)))
+    slot = data.draw(st.sampled_from([i for i, a in enumerate(argv) if a.startswith("{")]))
+    doc = json.loads(argv[slot])
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    value = data.draw(JSON_VALUES)
+    if not path:
+        doc = value
+    else:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    argv[slot] = json.dumps(doc)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert (out.getvalue() == "") == (code != 0)
+    if code:
+        report = json.loads(err.getvalue())
+        assert isinstance(report, dict) and "error" in report
+    else:
+        assert err.getvalue() == ""

@@ -249,6 +249,17 @@ class TestLatticeQuotient:
         with pytest.raises(ValueError):
             q.descend(bad)
 
+    def test_descend_identity_skips_the_section(self):
+        rng = random.Random(29)
+        for _ in range(40):
+            rel = random_matrix(rng, max_dim=4, lo=-6, hi=6)
+            q = LatticeQuotient(rel)
+            ident = IntegerMatrix.identity(rel.rows)
+            assert q.descend(ident) == IntegerMatrix.identity(q.group.num_generators)
+            assert "_section" not in vars(q)
+            # the general route agrees
+            assert q.projection @ ident @ q._section == q.descend(ident)
+
 
 class TestFgAbelianGroup:
     def test_normal_form_validation(self):

@@ -16,7 +16,12 @@ from tametorus.torus import (
     norm_torus_spec,
 )
 
-from helpers import random_finite_action_module, random_unimodular
+from helpers import (
+    is_automorphism_by_blocks,
+    random_finite_action_module,
+    random_presented_endomorphism,
+    random_unimodular,
+)
 
 
 def mat(rows):
@@ -134,7 +139,7 @@ class TestComponentGroup:
             )
             assert component_group(TameTorusSpec(conjugated)).group == base
 
-    def test_one_closure_and_at_most_five_snfs(self, monkeypatch):
+    def test_one_closure_and_at_most_four_snfs(self, monkeypatch):
         counts = {"snf": 0, "closure": 0}
 
         def counting(key, fn):
@@ -146,9 +151,11 @@ class TestComponentGroup:
         monkeypatch.setattr(lattice, "smith_normal_form",
                             counting("snf", lattice.smith_normal_form))
         monkeypatch.setattr(galois, "close_group", counting("closure", galois.close_group))
-        assert h1_frobenius(component_group(norm_torus_spec(6))) == FgAbelianGroup(0, (6,))
-        assert counts["closure"] == 1
-        assert counts["snf"] <= 5
+        for e in (2, 6, 36):
+            counts.update(snf=0, closure=0)
+            assert h1_frobenius(component_group(norm_torus_spec(e))) == FgAbelianGroup(0, (e,))
+            assert counts["closure"] == 1
+            assert counts["snf"] <= 4
 
     def test_frobenius_action_is_validated(self):
         with pytest.raises(ValueError):
@@ -156,6 +163,21 @@ class TestComponentGroup:
         with pytest.raises(ValueError):
             # multiplication by 2 is not surjective on Z/4
             ComponentGroup(FgAbelianGroup(0, (4,)), mat([[2]]))
+
+    def test_automorphism_check_matches_block_reference(self):
+        rng = random.Random(19493)
+        verdicts = set()
+        for _ in range(3000):
+            group, matrix = random_presented_endomorphism(rng)
+            try:
+                ComponentGroup(group, matrix)
+                accepted = True
+            except ValueError as exc:
+                assert str(exc) == "frobenius_action is not an automorphism"
+                accepted = False
+            assert accepted == is_automorphism_by_blocks(group, matrix), (group, matrix)
+            verdicts.add(accepted)
+        assert verdicts == {True, False}
 
 
 class TestH1Frobenius:
