@@ -15,7 +15,6 @@ from .lattice import (
     FgAbelianGroup,
     IntegerMatrix,
     LatticeQuotient,
-    cokernel,
     hstack,
     json_int,
     kernel_basis,
@@ -70,8 +69,8 @@ class MatrixGroup:
         return f"MatrixGroup(dimension={self.dimension}, order={self.order})"
 
 
-def close_group(generators: Sequence[IntegerMatrix], *, dimension: Optional[int] = None,
-                cap: int = DEFAULT_CLOSURE_CAP) -> MatrixGroup:
+def close_group(generators: Sequence[IntegerMatrix], *,
+                dimension: Optional[int] = None) -> MatrixGroup:
     """Multiplicative closure of a set of unimodular matrices.
 
     The closure of a finite set of invertible matrices, if finite, is a
@@ -79,7 +78,7 @@ def close_group(generators: Sequence[IntegerMatrix], *, dimension: Optional[int]
     are returned in a deterministic canonical order.
 
     Raises NotUnimodular for a generator with determinant other than
-    +/-1, and ClosureCapExceeded when the closure grows past `cap`.
+    +/-1, and ClosureCapExceeded past DEFAULT_CLOSURE_CAP elements.
     """
     gens = tuple(generators)
     if dimension is None:
@@ -101,8 +100,8 @@ def close_group(generators: Sequence[IntegerMatrix], *, dimension: Optional[int]
             for g in gens:
                 y = x @ g
                 if y.entries not in seen:
-                    if len(seen) >= cap:
-                        raise ClosureCapExceeded(f"closure exceeded {cap} elements")
+                    if len(seen) >= DEFAULT_CLOSURE_CAP:
+                        raise ClosureCapExceeded(f"closure exceeded {DEFAULT_CLOSURE_CAP} elements")
                     seen[y.entries] = y
                     new_frontier.append(y)
         frontier = new_frontier
@@ -258,34 +257,20 @@ def largest_trivial_free_quotient(module: GaloisLatticeModule) -> LatticeQuotien
 
 
 def check_presented_endomorphism(group: FgAbelianGroup, matrix: IntegerMatrix) -> None:
-    """Validate that `matrix` defines an endomorphism of the presented group.
-
-    Coordinates are normal-form coordinates: torsion generators first
-    (orders d_1 | ... | d_t), then free generators.  The matrix must send
-    each relation d_i e_i into the relation lattice.
-    """
+    """Validate that `matrix`, on the group's normal-form coordinates, is an
+    endomorphism: d_i times column i must reduce to zero for each d_i."""
     k = group.num_generators
     if matrix.rows != k or matrix.cols != k:
         raise ValueError(f"matrix must be {k}x{k} for this presentation")
-    t = len(group.invariant_factors)
-    d = group.invariant_factors
-    for i in range(t):
-        for f in range(t, k):
-            if matrix[f, i] != 0:
-                raise ValueError("matrix maps a torsion generator into the free part")
-        for j in range(t):
-            if (d[i] * matrix[j, i]) % d[j] != 0:
-                raise ValueError("matrix does not preserve the torsion relations")
+    for i, d in enumerate(group.invariant_factors):
+        if any(group.reduce([d * x for x in matrix.col(i)])):
+            raise ValueError("matrix does not preserve the torsion relations")
 
 
 def _reduce_endo(group: FgAbelianGroup, matrix: IntegerMatrix) -> IntegerMatrix:
-    """Canonical representative of an endomorphism (torsion rows mod d_j)."""
-    t = len(group.invariant_factors)
-    rows = matrix.to_rows()
-    for j in range(t):
-        dj = group.invariant_factors[j]
-        rows[j] = [x % dj for x in rows[j]]
-    return IntegerMatrix.from_rows(rows, cols=matrix.cols)
+    """Canonical representative of an endomorphism (each column reduced)."""
+    return IntegerMatrix.from_cols([group.reduce(matrix.col(j)) for j in range(matrix.cols)],
+                                   rows=matrix.rows)
 
 
 def endomorphism_order(group: FgAbelianGroup, matrix: IntegerMatrix, *,
@@ -296,8 +281,7 @@ def endomorphism_order(group: FgAbelianGroup, matrix: IntegerMatrix, *,
     (in particular when the matrix is not invertible on the group).
     """
     check_presented_endomorphism(group, matrix)
-    k = group.num_generators
-    ident = _reduce_endo(group, IntegerMatrix.identity(k))
+    ident = IntegerMatrix.identity(group.num_generators)  # reduced, as every d_i >= 2
     acc = _reduce_endo(group, matrix)
     for m in range(1, cap + 1):
         if acc == ident:
@@ -306,20 +290,7 @@ def endomorphism_order(group: FgAbelianGroup, matrix: IntegerMatrix, *,
     raise InfiniteOrder(f"no power up to {cap} acts as the identity")
 
 
-def _presentation_relations(group: FgAbelianGroup) -> IntegerMatrix:
-    """Relation columns d_i e_i of the normal-form presentation in Z^k."""
-    k = group.num_generators
-    t = len(group.invariant_factors)
-    cols = []
-    for i in range(t):
-        c = [0] * k
-        c[i] = group.invariant_factors[i]
-        cols.append(c)
-    return IntegerMatrix.from_cols(cols, rows=k)
-
-
-def cyclic_h1(group: FgAbelianGroup, frobenius: IntegerMatrix, *,
-              order_cap: int = DEFAULT_ORDER_CAP) -> FgAbelianGroup:
+def cyclic_h1(group: FgAbelianGroup, frobenius: IntegerMatrix) -> FgAbelianGroup:
     """First cohomology of a procyclic action on a presented abelian group.
 
     The generator acts through `frobenius` on normal-form coordinates
@@ -330,14 +301,12 @@ def cyclic_h1(group: FgAbelianGroup, frobenius: IntegerMatrix, *,
     invariants along (F - 1)A, that union is the set of x with a multiple
     in (F - 1)A.
 
-    Raises InfiniteOrder when no power of `frobenius` up to `order_cap`
+    Raises InfiniteOrder when no power of `frobenius` up to DEFAULT_ORDER_CAP
     acts as the identity, and ValueError when it is not an endomorphism.
 
     >>> cyclic_h1(FgAbelianGroup.cyclic(2), IntegerMatrix.identity(1))
     FgAbelianGroup(free_rank=0, invariant_factors=(2,))
     """
-    endomorphism_order(group, frobenius, cap=order_cap)
-    k = group.num_generators
-    relations = _presentation_relations(group)
-    coinvariant = cokernel(hstack([relations, frobenius - IntegerMatrix.identity(k)], rows=k))
+    endomorphism_order(group, frobenius)
+    coinvariant = group.quotient(frobenius - IntegerMatrix.identity(group.num_generators))
     return FgAbelianGroup(0, coinvariant.invariant_factors)

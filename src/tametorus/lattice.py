@@ -8,7 +8,9 @@ immutable, so every function is safe to call concurrently.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -112,7 +114,7 @@ class IntegerMatrix:
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-            flat.extend(int(x) for x in r)
+            flat.extend(map(operator.index, r))
         return cls(nrows, ncols, tuple(flat))
 
     @classmethod
@@ -126,7 +128,7 @@ class IntegerMatrix:
             if len(c) != nrows:
                 raise ValueError("ragged columns")
             for i, x in enumerate(c):
-                flat[i * ncols + j] = int(x)
+                flat[i * ncols + j] = operator.index(x)
         return cls(nrows, ncols, tuple(flat))
 
     @classmethod
@@ -423,15 +425,18 @@ class FgAbelianGroup:
     in invariant-factor normal form: d_i >= 2 and d_i | d_{i+1}.
 
     The normal form is unique, so equality of groups is field-wise equality.
+    Coordinates list the torsion generators first (orders d_1, ..., d_t),
+    then the free ones; `orders`, `reduce` and `quotient` work in them.
     """
 
     free_rank: int
     invariant_factors: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "free_rank", operator.index(self.free_rank))
         if self.free_rank < 0:
             raise ValueError("free_rank must be nonnegative")
-        fs = tuple(int(d) for d in self.invariant_factors)
+        fs = tuple(map(operator.index, self.invariant_factors))
         object.__setattr__(self, "invariant_factors", fs)
         for d in fs:
             if d < 2:
@@ -457,7 +462,7 @@ class FgAbelianGroup:
     @classmethod
     def from_cyclic_orders(cls, orders: Iterable[int]) -> "FgAbelianGroup":
         """Normalize a direct sum of cyclic groups (order 0 meaning Z)."""
-        orders = [abs(int(d)) for d in orders]
+        orders = [abs(operator.index(d)) for d in orders]
         diag = IntegerMatrix.from_rows(
             [[orders[i] if i == j else 0 for j in range(len(orders))] for i in range(len(orders))],
             cols=len(orders),
@@ -485,6 +490,26 @@ class FgAbelianGroup:
     def exponent(self) -> int:
         """Exponent of the torsion subgroup (1 when torsion-free)."""
         return self.invariant_factors[-1] if self.invariant_factors else 1
+
+    @property
+    def orders(self) -> tuple[int, ...]:
+        """Generator orders: d_1, ..., d_t, then 0 for each free generator."""
+        return self.invariant_factors + (0,) * self.free_rank
+
+    def reduce(self, coords: Sequence[int]) -> tuple[int, ...]:
+        """Canonical representative of a coordinate vector (torsion taken mod d_i)."""
+        if len(coords) != self.num_generators:
+            raise ValueError("coordinate length mismatch")
+        pairs = itertools.zip_longest(coords, self.invariant_factors, fillvalue=0)
+        return tuple(c % d if d else c for c, d in pairs)
+
+    def quotient(self, matrix: IntegerMatrix) -> "FgAbelianGroup":
+        """This group modulo the subgroup spanned by the columns of `matrix`."""
+        k = self.num_generators
+        relations = IntegerMatrix.from_cols(
+            [[d if r == i else 0 for r in range(k)] for i, d in enumerate(self.invariant_factors)],
+            rows=k)
+        return cokernel(hstack([relations, matrix], rows=k))
 
     def to_json_dict(self) -> dict:
         return {"free_rank": self.free_rank, "invariant_factors": list(self.invariant_factors)}
@@ -570,11 +595,10 @@ def lattices_equal(A: IntegerMatrix, B: IntegerMatrix) -> bool:
 class LatticeQuotient:
     """The quotient Z^n / (column span of relations), with explicit coordinates.
 
-    Normal-form coordinates list the torsion generators first (orders
-    d_1 | ... | d_t) and the free generators after them.  `projection`
-    maps ambient vectors to these coordinates; `descend` pushes an
-    endomorphism of Z^n that preserves the relation lattice down to the
-    quotient.
+    Coordinates are the normal-form coordinates of `group` (torsion
+    generators first, then free ones).  `projection` maps ambient
+    vectors to these coordinates; `descend` pushes an endomorphism of
+    Z^n that preserves the relation lattice down to the quotient.
 
     Construction takes one Smith form.  The section (a second one, for
     the inverse of U) is computed on the first `lift` or the first
@@ -593,7 +617,6 @@ class LatticeQuotient:
         self.ambient_rank = n
         self.relations = relations
         self.group = FgAbelianGroup(len(free_idx), tuple(d[i] for i in torsion_idx))
-        self.orders: tuple[int, ...] = tuple(d[i] for i in torsion_idx) + (0,) * len(free_idx)
         self.projection = IntegerMatrix.from_rows([list(snf.U.row(i)) for i in kept], cols=n)
         self._u = snf.U
         self._kept = kept
@@ -605,9 +628,7 @@ class LatticeQuotient:
 
     def reduce(self, coords: Sequence[int]) -> tuple[int, ...]:
         """Canonical representative of a coordinate vector (torsion taken mod d_i)."""
-        if len(coords) != len(self.orders):
-            raise ValueError("coordinate length mismatch")
-        return tuple(c % d if d else c for c, d in zip(coords, self.orders))
+        return self.group.reduce(coords)
 
     def project(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Class of an ambient vector, in normal-form coordinates."""
@@ -629,7 +650,7 @@ class LatticeQuotient:
         if endo.rows != self.ambient_rank or endo.cols != self.ambient_rank:
             raise ValueError("endomorphism shape mismatch")
         if endo.is_identity():
-            return IntegerMatrix.identity(len(self.orders))
+            return IntegerMatrix.identity(self.group.num_generators)
         for j in range(self.relations.cols):
             image = self.project(endo.apply(self.relations.col(j)))
             if any(image):

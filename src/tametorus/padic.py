@@ -18,6 +18,7 @@ here would be meaningful.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import isqrt
@@ -42,6 +43,7 @@ __all__ = [
 ]
 
 ORACLE_CANDIDATE_CAP = 10_000_000
+PRECISION_CAP = 10_000
 
 
 def _is_prime(n: int) -> bool:
@@ -80,7 +82,7 @@ def smallest_primitive_root(p: int) -> int:
 
 @dataclass(frozen=True)
 class PadicContext:
-    """An odd prime p together with a working precision N >= 2."""
+    """An odd prime p together with a working precision 2 <= N <= PRECISION_CAP."""
 
     p: int
     precision: int
@@ -90,8 +92,8 @@ class PadicContext:
             raise ValueError("p = 2 is wildly ramified here and not supported")
         if self.p < 3 or not _is_prime(self.p):
             raise ValueError(f"p must be an odd prime, got {self.p}")
-        if self.precision < 2:
-            raise ValueError("precision must be at least 2")
+        if not 2 <= self.precision <= PRECISION_CAP:
+            raise ValueError(f"precision must be between 2 and {PRECISION_CAP}")
 
     @cached_property
     def modulus(self) -> int:
@@ -113,7 +115,7 @@ class PadicInt:
     residue: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "residue", self.residue % self.context.modulus)
+        object.__setattr__(self, "residue", operator.index(self.residue) % self.context.modulus)
 
     @property
     def is_exhausted(self) -> bool:
@@ -185,7 +187,8 @@ class NormClass:
         return {"value": self.value, "e": self.e}
 
 
-def _check_degree(p: int, e: int) -> None:
+def check_degree(p: int, e: int) -> None:
+    """Raise DegreeIncompatible unless e is positive and divides p - 1."""
     if e < 1:
         raise DegreeIncompatible("e must be positive")
     if (p - 1) % e != 0:
@@ -200,7 +203,7 @@ def eth_power_class(u: PadicInt, e: int) -> NormClass:
     an e-th power in the residue field.
     """
     ctx = u.context
-    _check_degree(ctx.p, e)
+    check_degree(ctx.p, e)
     ubar = u.residue % ctx.p
     if ubar == 0:
         raise NotAUnit("reduction mod p is zero")
@@ -222,7 +225,7 @@ def norm_class(a: PadicInt, e: int) -> NormClass:
     k*/(k*)^e: the uniformizer's norm is (-1)^(e-1) p, so peeling off
     powers of p twists the unit by the corresponding sign.
     """
-    _check_degree(a.context.p, e)
+    check_degree(a.context.p, e)
     v, u = unit_part(a)
     sign = -1 if (v * (e - 1)) % 2 else 1
     twisted = PadicInt(a.context, sign * u.residue)
@@ -285,10 +288,12 @@ def norm_class_oracle(a: PadicInt, e: int, search_precision: int) -> NormClass:
     exceed 10^7.
     """
     ctx = a.context
-    _check_degree(ctx.p, e)
+    check_degree(ctx.p, e)
     if search_precision < 1:
         raise ValueError("search_precision must be positive")
-    if ctx.p ** (e * search_precision) > ORACLE_CANDIDATE_CAP:
+    # Clamped so the guard does not build the power it guards against (p >= 3).
+    exponent = min(e * search_precision, ORACLE_CANDIDATE_CAP.bit_length())
+    if ctx.p ** exponent > ORACLE_CANDIDATE_CAP:
         raise SearchSpaceTooLarge(
             f"p^(e*search_precision) = {ctx.p}^{e * search_precision} exceeds {ORACLE_CANDIDATE_CAP}"
         )

@@ -12,6 +12,7 @@ the special fibre instead.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Sequence, Union
@@ -22,7 +23,7 @@ from .errors import (
     SpecialFibreVanishing,
 )
 from .lattice import json_int
-from .padic import NormClass, PadicContext, PadicInt, _check_degree, eth_power_class, norm_class
+from .padic import NormClass, PadicContext, PadicInt, check_degree, eth_power_class, norm_class
 
 __all__ = [
     "MultivariatePolynomial",
@@ -57,12 +58,12 @@ class MultivariatePolynomial:
     def __post_init__(self) -> None:
         combined: dict[tuple[int, ...], int] = {}
         for coeff, exps in self.terms:
-            exps = tuple(int(x) for x in exps)
+            exps = tuple(map(operator.index, exps))
             if len(exps) != self.n_vars:
                 raise ValueError("exponent vector length does not match n_vars")
             if any(x < 0 for x in exps):
                 raise ValueError("exponents must be nonnegative")
-            combined[exps] = combined.get(exps, 0) + int(coeff)
+            combined[exps] = combined.get(exps, 0) + operator.index(coeff)
         canon = tuple(
             (c, e)
             for e, c in sorted(combined.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
@@ -146,7 +147,7 @@ class NormTorsorFamily:
     f: MultivariatePolynomial
 
     def __post_init__(self) -> None:
-        _check_degree(self.context.p, self.e)
+        check_degree(self.context.p, self.e)
 
     @property
     def n_vars(self) -> int:
@@ -182,7 +183,7 @@ def _point_residues(family: NormTorsorFamily, point: Point) -> tuple[int, ...]:
                 raise ContextMismatch("point coordinate from a different context")
             out.append(x.residue)
         else:
-            out.append(int(x) % family.context.modulus)
+            out.append(operator.index(x) % family.context.modulus)
     if len(out) != family.n_vars:
         raise ValueError(f"expected {family.n_vars} coordinates")
     return tuple(out)

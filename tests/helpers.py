@@ -169,6 +169,39 @@ def random_presented_endomorphism(rng: random.Random):
     return group, IntegerMatrix.from_rows(rows, cols=k)
 
 
+def random_endomorphism_candidate(rng: random.Random):
+    """A group with at most 2 torsion and 2 free generators and a square
+    matrix on its coordinates that may or may not be an endomorphism
+    (torsion entries are often, not always, multiples of d_j / gcd(d_i, d_j);
+    a torsion generator usually, not always, stays out of the free part)."""
+    factors = rng.choice([(), (2,), (2, 4), (3, 6), (6, 12)])
+    group = FgAbelianGroup(rng.randrange(3), factors)
+    k, t = group.num_generators, len(factors)
+    rows = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+    for i in range(t):
+        for j in range(t):
+            if rng.random() < 0.6:
+                rows[j][i] = rng.randint(-2, 2) * (factors[j] // math.gcd(factors[i], factors[j]))
+            else:
+                rows[j][i] = rng.randint(-12, 12)
+        for j in range(t, k):
+            rows[j][i] = 0 if rng.random() < 0.8 else rng.randint(-2, 2)
+    return group, IntegerMatrix.from_rows(rows, cols=k)
+
+
+def is_endomorphism_by_conditions(group: FgAbelianGroup, matrix: IntegerMatrix) -> bool:
+    """Endomorphism test by two conditions on each torsion column i (reference).
+
+    No torsion generator maps into the free part, and d_i * M[j, i] is a
+    multiple of d_j for every torsion row j.  Shares no code with
+    `check_presented_endomorphism`, which reduces d_i times column i.
+    """
+    d = group.invariant_factors
+    t, k = len(d), group.num_generators
+    return all(matrix[f, i] == 0 for i in range(t) for f in range(t, k)) and all(
+        (d[i] * matrix[j, i]) % d[j] == 0 for i in range(t) for j in range(t))
+
+
 def is_automorphism_by_blocks(group: FgAbelianGroup, matrix: IntegerMatrix) -> bool:
     """Automorphism test on the two diagonal blocks (reference).
 

@@ -264,6 +264,41 @@ def test_rejected_document_is_malformed(capsys, argv):
     assert json.loads(err)["error"] == "malformed-input"
 
 
+PADIC_FLAGS = ("--p", "5", "--e", "2", "--a", "2")
+
+# Requests whose size parameter lies past its cap: (exit code, error, argv).
+OVER_CAP = {
+    "oracle-search-precision": (1, "search-space-too-large", (
+        "oracle-norm-class", *PADIC_FLAGS, "--search-precision", "1000000000")),
+    "precision-past-cap": (1, "invalid-value", ("norm-class", *PADIC_FLAGS,
+                                                "--precision", "10001")),
+    "precision-huge": (1, "invalid-value", ("norm-class", *PADIC_FLAGS,
+                                            "--precision", "100000000")),
+    "oracle-precision-huge": (1, "invalid-value", ("oracle-norm-class", *PADIC_FLAGS,
+                                                   "--precision", "100000000")),
+    "norm-degree-past-cap": (1, "invalid-value", ("component-group", "--torus", "norm",
+                                                  "--e", "257")),
+    "norm-degree-huge": (1, "invalid-value", ("component-group", "--torus", "norm",
+                                              "--e", "300")),
+    "norm-degree-document": (2, "malformed-input", ("component-group", "--module",
+                                                    json.dumps({"torus": "norm", "e": 257}))),
+    "family-precision-past-cap": (2, "malformed-input", (
+        "eval-torsor", "--family", _family(precision=10001), "--point", "1")),
+    "family-precision-huge": (2, "malformed-input", ("constancy", "--family",
+                                                     _family(precision=10**8))),
+}
+
+
+@pytest.mark.parametrize("expected_code,error,argv", list(OVER_CAP.values()), ids=list(OVER_CAP))
+def test_parameters_past_their_cap_fail_fast(capsys, expected_code, error, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == expected_code
+    assert out == ""
+    assert json.loads(err)["error"] == error
+
+
 VALID_REQUESTS = [
     ("coinvariants", "--module", _module(), "--subgroup", "inertia"),
     ("tame-quotient", "--module", _module(wild_inertia=[0])),

@@ -6,6 +6,7 @@ from tametorus import galois, lattice
 from tametorus.errors import ClosureCapExceeded, InfiniteOrder, NotUnimodular
 from tametorus.galois import (
     GaloisLatticeModule,
+    check_presented_endomorphism,
     close_group,
     coinvariants,
     cyclic_h1,
@@ -25,6 +26,8 @@ from tametorus.lattice import (
 
 from helpers import (
     h1_by_trace_kernel,
+    is_endomorphism_by_conditions,
+    random_endomorphism_candidate,
     random_finite_action_module,
     random_order_bounded_action,
     random_signed_permutation,
@@ -60,7 +63,7 @@ class TestCloseGroup:
     def test_cap(self):
         # the shear [[1,1],[0,1]] generates an infinite group
         with pytest.raises(ClosureCapExceeded):
-            close_group([mat([[1, 1], [0, 1]])], cap=50)
+            close_group([mat([[1, 1], [0, 1]])])
 
     def test_contains_inverses(self):
         grp = close_group([ORDER3])
@@ -253,6 +256,26 @@ class TestLargestTrivialFreeQuotient:
                 assert factor.transpose() @ q.projection == hom
 
 
+class TestPresentedEndomorphism:
+    def test_matches_two_condition_reference(self):
+        rng = random.Random(5_2026)
+        verdicts = []
+        for _ in range(3000):
+            group, matrix = random_endomorphism_candidate(rng)
+            try:
+                check_presented_endomorphism(group, matrix)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == is_endomorphism_by_conditions(group, matrix), (group, matrix)
+            verdicts.append(accepted)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            check_presented_endomorphism(FgAbelianGroup(1, (2,)), IntegerMatrix.identity(1))
+
+
 class TestCyclicH1:
     def test_finite_trivial_action(self):
         assert cyclic_h1(FgAbelianGroup.cyclic(2), IntegerMatrix.identity(1)) \
@@ -269,7 +292,7 @@ class TestCyclicH1:
 
     def test_infinite_order_detected(self):
         with pytest.raises(InfiniteOrder):
-            cyclic_h1(FgAbelianGroup.free(2), mat([[1, 1], [0, 1]]), order_cap=64)
+            cyclic_h1(FgAbelianGroup.free(2), mat([[1, 1], [0, 1]]))
 
     def test_endomorphism_validation(self):
         # a torsion generator may not map into the free part

@@ -282,6 +282,40 @@ class TestFgAbelianGroup:
         assert FgAbelianGroup(1).order() is None
         assert FgAbelianGroup.trivial().order() == 1
 
+    def test_orders(self):
+        assert FgAbelianGroup(2, (3, 6)).orders == (3, 6, 0, 0)
+        assert FgAbelianGroup(1).orders == (0,)
+        assert FgAbelianGroup.trivial().orders == ()
+
+    def test_reduce(self):
+        g = FgAbelianGroup(1, (2, 4))
+        assert g.reduce([3, -1, -5]) == (1, 3, -5)
+        assert g.reduce([4, 8, 0]) == (0, 0, 0)
+        assert FgAbelianGroup.trivial().reduce([]) == ()
+        with pytest.raises(ValueError):
+            g.reduce([1, 2])
+
+    def test_quotient(self):
+        g = FgAbelianGroup(1, (2,))
+        assert g.quotient(mat([[0], [2]])) == FgAbelianGroup(0, (2, 2))
+        assert g.quotient(mat([[1], [0]])) == FgAbelianGroup(1)
+        assert g.quotient(mat([[1], [1]])) == FgAbelianGroup(0, (2,))
+        assert g.quotient(IntegerMatrix.identity(2)).is_trivial
+        assert g.quotient(IntegerMatrix(2, 0, ())) == g
+
+    def test_quotient_matches_minors_oracle(self):
+        rng = random.Random(71)
+        for _ in range(100):
+            factors = rng.choice([(), (2,), (3,), (2, 4), (3, 6)])
+            group = FgAbelianGroup(rng.randrange(3), factors)
+            k, t = group.num_generators, len(factors)
+            c = rng.randrange(3)
+            m = [[rng.randint(-4, 4) for _ in range(c)] for _ in range(k)]
+            relations = [[factors[i] if r == i else 0 for i in range(t)] + m[r] for r in range(k)]
+            nonzero = invariant_factors_by_minors(IntegerMatrix.from_rows(relations, cols=t + c))
+            expected = FgAbelianGroup(k - len(nonzero), tuple(d for d in nonzero if d > 1))
+            assert group.quotient(IntegerMatrix.from_rows(m, cols=c)) == expected
+
     def test_json_roundtrip(self):
         g = FgAbelianGroup(2, (3, 6))
         assert FgAbelianGroup.from_json_dict(g.to_json_dict()) == g

@@ -1,0 +1,69 @@
+"""Package-wide contracts: module boundaries and exact integer inputs."""
+
+import ast
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import tametorus
+from tametorus.lattice import FgAbelianGroup, IntegerMatrix
+from tametorus.padic import PadicContext, PadicInt
+from tametorus.torsor import MultivariatePolynomial, NormTorsorFamily, evaluate, reduce_point
+
+PACKAGE = Path(tametorus.__file__).parent
+
+
+def private_sibling_names(path: Path) -> list[str]:
+    """Underscore names that a module takes from a sibling module, either by
+    `from .sibling import _name` or as `sibling._name` after `from . import sibling`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    siblings = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module is None:
+                    siblings.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    found.append(f"{path.name}:{node.lineno} {node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in siblings and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            found.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 5
+    assert [name for path in modules for name in private_sibling_names(path)] == []
+
+
+def _family():
+    f = MultivariatePolynomial(1, ((1, (1,)),))
+    return NormTorsorFamily(PadicContext(5, 4), 2, f)
+
+
+NON_INTEGERS = {
+    "from-rows-float": lambda: IntegerMatrix.from_rows([[2.7]]),
+    "from-rows-fraction": lambda: IntegerMatrix.from_rows([[Fraction(5, 2)]]),
+    "from-rows-str": lambda: IntegerMatrix.from_rows([["3"]]),
+    "from-cols-float": lambda: IntegerMatrix.from_cols([[1, 2.5]]),
+    "group-factor-float": lambda: FgAbelianGroup(0, (2.9,)),
+    "group-free-rank-float": lambda: FgAbelianGroup(1.5),
+    "cyclic-orders-float": lambda: FgAbelianGroup.from_cyclic_orders([2.5]),
+    "polynomial-coefficient-float": lambda: MultivariatePolynomial(1, ((1.5, (1,)),)),
+    "polynomial-exponent-float": lambda: MultivariatePolynomial(1, ((1, (1.0,)),)),
+    "evaluate-point-float": lambda: evaluate(_family(), [2.5]),
+    "reduce-point-fraction": lambda: reduce_point(_family(), [Fraction(1, 2)]),
+    "context-integer-float": lambda: PadicContext(5, 4).integer(2.5),
+    "padic-int-fraction": lambda: PadicInt(PadicContext(5, 4), Fraction(7, 2)),
+}
+
+
+@pytest.mark.parametrize("build", list(NON_INTEGERS.values()), ids=list(NON_INTEGERS))
+def test_builders_reject_non_integers(build):
+    with pytest.raises(TypeError):
+        build()

@@ -10,6 +10,7 @@ from tametorus.errors import (
     SearchSpaceTooLarge,
 )
 from tametorus.padic import (
+    PRECISION_CAP,
     NormClass,
     PadicContext,
     PadicInt,
@@ -32,6 +33,11 @@ class TestContext:
             PadicContext(9, 4)
         with pytest.raises(ValueError):
             PadicContext(5, 1)
+
+    def test_precision_cap(self):
+        assert PadicContext(5, PRECISION_CAP).integer(-1).residue == 5 ** PRECISION_CAP - 1
+        with pytest.raises(ValueError):
+            PadicContext(5, PRECISION_CAP + 1)
 
     def test_primitive_roots(self):
         assert smallest_primitive_root(3) == 2
