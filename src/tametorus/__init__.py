@@ -9,10 +9,12 @@ from .errors import (
     EnumerationTooLarge,
     FrobeniusDoesNotDescend,
     InfiniteOrder,
+    NoRepresentedNorm,
     NoStabilization,
     NotAUnit,
     NotUnimodular,
     PrecisionExhausted,
+    SamplingTooLarge,
     SearchSpaceTooLarge,
     SpecialFibreVanishing,
     SubgroupViolation,

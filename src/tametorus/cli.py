@@ -1,11 +1,15 @@
 """Command-line front door: JSON in, JSON report out.
 
-Exit status 0 on success; 1 on a domain error or a bad flag value (such
-as `--p 9` or `--samples 0`); 2 on malformed input, which includes every
-JSON document its reader rejects (a missing key, a non-integer, a ragged
+Exit status 0 on success (`--help` included); 1 on a domain error or a
+bad flag value (such as `--p 9`, `--samples 0` or an `--output` path that
+cannot be written); 2 on malformed input, which includes every command
+line the argument parser rejects (an unknown flag or subcommand, a
+missing flag, a non-integer where an integer is expected) and every JSON
+document its reader rejects (a missing key, a non-integer, a ragged
 matrix, a shape or index that does not fit).  A nonzero exit writes
-{"error": ..., "detail": ...} to stderr and nothing to stdout.  Output
-is byte-identical for identical inputs and seeds.
+{"error": ..., "detail": ...} to stderr and nothing to stdout.  `main`
+returns the status; it does not raise SystemExit.  Output is
+byte-identical for identical inputs and seeds.
 """
 
 from __future__ import annotations
@@ -23,6 +27,14 @@ from .errors import DomainError
 
 class MalformedInput(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are malformed input (exit 2), not
+    usage text and SystemExit."""
+
+    def error(self, message: str):
+        raise MalformedInput(f"{self.prog}: {message}")
 
 
 def _camel_to_kebab(name: str) -> str:
@@ -193,7 +205,7 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tametorus",
         description="Component groups of tame norm tori, p-adic norm classes, "
         "and torsor-evaluation checks over the special fibre.",
@@ -216,22 +228,28 @@ def _emit(report: dict, output: Optional[str], stream) -> None:
         stream.write(text)
 
 
+def _fail(code: int, error: str, detail: str) -> int:
+    _emit({"error": error, "detail": detail}, None, sys.stderr)
+    return code
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         report = args.func(args)
+    except SystemExit as exc:  # --help has printed its text
+        return exc.code
     except MalformedInput as exc:
-        _emit({"error": "malformed-input", "detail": str(exc)}, None, sys.stderr)
-        return 2
+        return _fail(2, "malformed-input", str(exc))
     except DomainError as exc:
-        _emit({"error": _camel_to_kebab(type(exc).__name__), "detail": str(exc)},
-              None, sys.stderr)
-        return 1
+        return _fail(1, _camel_to_kebab(type(exc).__name__), str(exc))
     except ValueError as exc:
-        _emit({"error": "invalid-value", "detail": str(exc)}, None, sys.stderr)
-        return 1
-    _emit(report, args.output, sys.stdout)
+        return _fail(1, "invalid-value", str(exc))
+    try:
+        _emit(report, args.output, sys.stdout)
+    except OSError as exc:
+        return _fail(1, "invalid-value", f"cannot write --output: {exc}")
     return 0
 
 

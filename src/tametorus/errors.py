@@ -62,9 +62,17 @@ class SearchSpaceTooLarge(DomainError):
     """The brute-force norm search would enumerate more candidates than allowed."""
 
 
+class NoRepresentedNorm(DomainError):
+    """The brute-force norm search found no class at its search precision."""
+
+
 class SpecialFibreVanishing(DomainError):
     """The defining function vanishes at the given point of the special fibre."""
 
 
 class EnumerationTooLarge(DomainError):
     """Exhausting the special fibre would exceed the enumeration bound."""
+
+
+class SamplingTooLarge(DomainError):
+    """Sampling the factorization check would exceed its work bound."""

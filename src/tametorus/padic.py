@@ -26,6 +26,7 @@ from math import isqrt
 from .errors import (
     ContextMismatch,
     DegreeIncompatible,
+    NoRepresentedNorm,
     NotAUnit,
     PrecisionExhausted,
     SearchSpaceTooLarge,
@@ -40,10 +41,18 @@ __all__ = [
     "eth_power_class",
     "norm_class",
     "norm_class_oracle",
+    "power_exceeds",
 ]
 
 ORACLE_CANDIDATE_CAP = 10_000_000
 PRECISION_CAP = 10_000
+
+
+def power_exceeds(base: int, exponent: int, cap: int) -> bool:
+    """Whether base ** exponent > cap, for base >= 2 and exponent >= 0,
+    without building a power much larger than cap."""
+    # base ** cap.bit_length() >= 2 ** cap.bit_length() > cap.
+    return base ** min(exponent, cap.bit_length()) > cap
 
 
 def _is_prime(n: int) -> bool:
@@ -88,6 +97,8 @@ class PadicContext:
     precision: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "p", operator.index(self.p))
+        object.__setattr__(self, "precision", operator.index(self.precision))
         if self.p == 2:
             raise ValueError("p = 2 is wildly ramified here and not supported")
         if self.p < 3 or not _is_prime(self.p):
@@ -225,11 +236,18 @@ def norm_class(a: PadicInt, e: int) -> NormClass:
     k*/(k*)^e: the uniformizer's norm is (-1)^(e-1) p, so peeling off
     powers of p twists the unit by the corresponding sign.
     """
-    check_degree(a.context.p, e)
-    v, u = unit_part(a)
-    sign = -1 if (v * (e - 1)) % 2 else 1
-    twisted = PadicInt(a.context, sign * u.residue)
-    return eth_power_class(twisted, e)
+    p = a.context.p
+    check_degree(p, e)
+    u = a.residue
+    if u == 0:
+        raise PrecisionExhausted("value is 0 mod p^N; no unit decomposition exists")
+    v = 0
+    while u % p == 0:
+        u //= p
+        v += 1
+    if v * (e - 1) % 2:
+        u = -u
+    return eth_power_class(PadicInt(a.context, u), e)
 
 
 def _mult_matrix_rows(p: int, e: int, coeffs: tuple[int, ...]) -> list[list[int]]:
@@ -291,9 +309,7 @@ def norm_class_oracle(a: PadicInt, e: int, search_precision: int) -> NormClass:
     check_degree(ctx.p, e)
     if search_precision < 1:
         raise ValueError("search_precision must be positive")
-    # Clamped so the guard does not build the power it guards against (p >= 3).
-    exponent = min(e * search_precision, ORACLE_CANDIDATE_CAP.bit_length())
-    if ctx.p ** exponent > ORACLE_CANDIDATE_CAP:
+    if power_exceeds(ctx.p, e * search_precision, ORACLE_CANDIDATE_CAP):
         raise SearchSpaceTooLarge(
             f"p^(e*search_precision) = {ctx.p}^{e * search_precision} exceeds {ORACLE_CANDIDATE_CAP}"
         )
@@ -310,6 +326,6 @@ def norm_class_oracle(a: PadicInt, e: int, search_precision: int) -> NormClass:
         if target % modulus in residues:
             return NormClass(e, r)
         target = target * w_inv % ctx.modulus
-    raise ValueError(
+    raise NoRepresentedNorm(
         "no class admits a represented norm; increase search_precision"
     )

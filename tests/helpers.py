@@ -7,6 +7,7 @@ determinant, so it can certify the Smith form independently.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -265,3 +266,59 @@ def h1_by_trace_kernel(group: FgAbelianGroup, frobenius: IntegerMatrix,
         raise NoStabilization("cocycle kernels differ between level n0 and 2*n0")
     coboundaries = hstack([relations, frobenius - IntegerMatrix.identity(k)], rows=k)
     return subquotient(kernel, coboundaries)
+
+
+def dense_poly_value(terms, point) -> int:
+    """Exact integer value of sum(c * prod(x_i ** k_i)) at integer coordinates,
+    term by term with `pow(x, k)` (test reference; no reduction, no sparse form)."""
+    total = 0
+    for coeff, exps in terms:
+        value = coeff
+        for x, k in zip(point, exps):
+            value *= pow(x, k)
+        total += value
+    return total
+
+
+@functools.lru_cache(maxsize=None)
+def _generator_powers(p: int) -> list[int]:
+    # g^0, ..., g^(p-2) for the smallest g whose powers fill F_p*.
+    for g in range(2, p):
+        powers = [1]
+        while len(powers) < p - 1:
+            powers.append(powers[-1] * g % p)
+        if len(set(powers)) == p - 1:
+            return powers
+    raise ValueError(f"{p} has no primitive root")
+
+
+def dlog_by_scan(value: int, p: int) -> int:
+    """Discrete log of a nonzero residue mod p to the smallest primitive root,
+    found by scanning g^k (test reference; no shared code path)."""
+    return _generator_powers(p).index(value % p)
+
+
+def norm_class_by_scan(value: int, p: int, precision: int, e: int):
+    """Norm class in Z/e of an integer known mod p^precision, from the
+    definition: strip v factors of p, twist the unit by (-1)^(v(e-1)) and
+    take its discrete log mod e.  None when value is 0 mod p^precision."""
+    residue = value % p ** precision
+    if residue == 0:
+        return None
+    v = 0
+    while residue % p ** (v + 1) == 0:
+        v += 1
+    unit = residue // p ** v * (-1) ** (v * (e - 1))
+    return dlog_by_scan(unit, p) % e
+
+
+def random_torsor_terms(rng: random.Random, n_vars: int) -> list:
+    """1-5 terms of degree <= 4 with coefficients in [-12, 12], zero included
+    and repeated exponent vectors allowed."""
+    terms = []
+    for _ in range(rng.randrange(1, 6)):
+        exps = [0] * n_vars
+        for _ in range(rng.randrange(0, 5)):
+            exps[rng.randrange(n_vars)] += 1
+        terms.append((rng.randint(-12, 12), tuple(exps)))
+    return terms

@@ -130,6 +130,14 @@ def test_file_input_and_output(tmp_path, capsys):
     assert report["failures"] == []
 
 
+def test_oracle_without_a_represented_norm_is_a_domain_error(capsys):
+    code, out, err = run_cli(capsys, "oracle-norm-class", "--p", "5", "--e", "2", "--a", "13",
+                             "--precision", "6", "--search-precision", "1")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "no-represented-norm"
+
+
 def test_domain_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "norm-class", "--p", "5", "--e", "3", "--a", "2",
                            "--precision", "4")
@@ -184,6 +192,38 @@ def test_reports_reparse_under_schema(capsys):
     code, out, _ = run_cli(capsys, "component-group", "--torus", "norm", "--e", "4")
     assert code == 0
     assert FgAbelianGroup.from_json_dict(json.loads(out)).order() == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ("coinvariants", "--module", "-1e5"),
+    ("coinvariants", "--module", '{"lattice_rank":1,"generators":[]}', "--unknown", "1"),
+    ("norm-class", "--p", "5", "--e", "2"),
+    ("norm-class", "--p", "5", "--e", "x", "--a", "2"),
+    ("no-such-command",),
+], ids=["dash-value", "unknown-flag", "missing-flag", "non-integer-flag", "unknown-command"])
+def test_rejected_command_line_is_malformed(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "malformed-input"
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("verify-diagram", "--help")])
+def test_help_exits_zero(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.startswith("usage: tametorus")
+    assert err == ""
+
+
+@pytest.mark.parametrize("target", ["missing-dir/report.json", "."], ids=["no-dir", "a-dir"])
+def test_unwritable_output_is_an_error(tmp_path, capsys, target):
+    code, out, err = run_cli(capsys, "norm-class", "--p", "5", "--e", "2", "--a", "2",
+                             "--output", str(tmp_path / target))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "invalid-value"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sample_count_is_bounded(capsys):
@@ -286,6 +326,12 @@ OVER_CAP = {
         "eval-torsor", "--family", _family(precision=10001), "--point", "1")),
     "family-precision-huge": (2, "malformed-input", ("constancy", "--family",
                                                      _family(precision=10**8))),
+    "constancy-n-vars-huge": (1, "enumeration-too-large", (
+        "constancy", "--family", _family(n_vars=30_000_000, f=[]))),
+    "verify-precision-times-samples": (1, "sampling-too-large", (
+        "verify-diagram", "--family", _family(precision=10_000), "--samples", "1000000")),
+    "verify-n-vars-times-samples": (1, "sampling-too-large", (
+        "verify-diagram", "--family", _family(n_vars=10**7, f=[]), "--samples", "1000")),
 }
 
 

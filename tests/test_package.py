@@ -59,6 +59,8 @@ NON_INTEGERS = {
     "evaluate-point-float": lambda: evaluate(_family(), [2.5]),
     "reduce-point-fraction": lambda: reduce_point(_family(), [Fraction(1, 2)]),
     "context-integer-float": lambda: PadicContext(5, 4).integer(2.5),
+    "context-precision-float": lambda: PadicContext(5, 2.5),
+    "context-prime-float": lambda: PadicContext(5.0, 4),
     "padic-int-fraction": lambda: PadicInt(PadicContext(5, 4), Fraction(7, 2)),
 }
 

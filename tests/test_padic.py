@@ -5,6 +5,8 @@ import pytest
 from tametorus.errors import (
     ContextMismatch,
     DegreeIncompatible,
+    DomainError,
+    NoRepresentedNorm,
     NotAUnit,
     PrecisionExhausted,
     SearchSpaceTooLarge,
@@ -18,6 +20,7 @@ from tametorus.padic import (
     field_norm,
     norm_class,
     norm_class_oracle,
+    power_exceeds,
     smallest_primitive_root,
     unit_part,
 )
@@ -214,6 +217,19 @@ class TestOracle:
     def test_precision_must_cover_valuation_plus_two(self):
         with pytest.raises(PrecisionExhausted):
             norm_class_oracle(PadicContext(5, 4).integer(125), 2, 2)
+
+    def test_no_represented_norm_is_a_domain_error(self):
+        assert issubclass(NoRepresentedNorm, DomainError)
+        with pytest.raises(NoRepresentedNorm):
+            norm_class_oracle(PadicContext(5, 6).integer(13), 2, 1)
+
+
+def test_power_exceeds():
+    cap = 10**6
+    for base in (2, 3, 10, 1000003):
+        for exponent in range(0, 45):
+            assert power_exceeds(base, exponent, cap) == (base**exponent > cap)
+    assert power_exceeds(3, 10**18, cap)
 
 
 class TestNormClassValue:

@@ -1,24 +1,35 @@
+import dataclasses
+import itertools
 import random
+import time
 
 import pytest
 
+import tametorus.torsor
 from tametorus.errors import (
     DegreeIncompatible,
     EnumerationTooLarge,
     PrecisionExhausted,
+    SamplingTooLarge,
     SpecialFibreVanishing,
 )
-from tametorus.padic import PadicContext
+from tametorus.padic import NormClass, PadicContext, norm_class
 from tametorus.torsor import (
+    SAMPLING_WORK_CAP,
+    FactorizationReport,
+    FailureRecord,
     MultivariatePolynomial,
     NormTorsorFamily,
     constancy_check,
     evaluate,
     reduce_point,
     sample_points,
+    sample_work,
     special_eval,
     verify_factorization,
 )
+
+from helpers import dense_poly_value, dlog_by_scan, norm_class_by_scan, random_torsor_terms
 
 P = MultivariatePolynomial
 
@@ -220,3 +231,187 @@ def test_family_json_roundtrip():
         "f": [{"c": 1, "exp": [2]}, {"c": 1, "exp": [0]}],
     }
     assert NormTorsorFamily.from_json_dict(d) == fam
+
+
+class TestSamplingWorkBound:
+    def test_cost_grows_with_precision_terms_n_vars_and_e(self):
+        small = family(5, 2, x_squared_plus_one())
+        assert sample_work(family(5, 2, x_squared_plus_one(), precision=1000)) > sample_work(small)
+        assert sample_work(family(5, 2, x_squared_plus_one() * x_squared_plus_one())) > \
+            sample_work(small)
+        assert sample_work(family(5, 2, P.constant(3, 1))) > sample_work(family(5, 2, P.constant(1, 1)))
+        assert sample_work(family(5, 4, x_squared_plus_one())) > sample_work(small)
+
+    def test_past_the_bound_raises_before_sampling(self):
+        fam = family(5, 2, P(2, ((1, (1, 3)), (1, (0, 0)))), precision=10_000)
+        count = SAMPLING_WORK_CAP // sample_work(fam) + 1
+        start = time.perf_counter()
+        with pytest.raises(SamplingTooLarge, match="precision = 10000"):
+            verify_factorization(fam, count, seed=0)
+        assert time.perf_counter() - start < 1.0
+
+    def test_accepts_the_sizes_in_use(self):
+        # the sample cap at precision 4, and 10^4 samples of a degree-4
+        # polynomial in three variables at precision 8
+        assert 10**6 * sample_work(family(101, 10, P(3, ((1, (1, 1, 1)), (2, (0, 0, 0)))))) \
+            <= SAMPLING_WORK_CAP
+        dense = P(3, tuple((1, e) for e in itertools.product(range(5), repeat=3) if sum(e) <= 4))
+        assert 10**4 * sample_work(family(7, 3, dense, precision=8)) <= SAMPLING_WORK_CAP
+
+
+class TestPublicRoutesValidate:
+    def test_coordinate_count(self):
+        fam = family(5, 2, x_squared_plus_one())
+        with pytest.raises(ValueError):
+            evaluate(fam, [1, 2])
+        with pytest.raises(ValueError):
+            special_eval(fam, [1, 2])
+
+    def test_unreduced_and_negative_coordinates(self):
+        fam = family(5, 2, x_squared_plus_one())
+        assert evaluate(fam, [1 + 625 * 7]) == evaluate(fam, [1]) == evaluate(fam, [-624])
+        assert special_eval(fam, [-4]) == special_eval(fam, [1])
+
+
+PRIMES_TO_101 = [q for q in range(3, 102) if all(q % d for d in range(2, q))]
+
+
+def reference_families(count=300, seed=7_2026):
+    """Seeded (terms, family) pairs: p <= 101, any e | p - 1, 1-3 variables,
+    precision 2-5, coefficients in [-12, 12] with zeros and repeats."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        p = rng.choice(PRIMES_TO_101)
+        e = rng.choice([d for d in range(1, p) if (p - 1) % d == 0])
+        n_vars = rng.randrange(1, 4)
+        terms = random_torsor_terms(rng, n_vars)
+        out.append((terms, family(p, e, P(n_vars, tuple(terms)), precision=rng.randrange(2, 6))))
+    return out
+
+
+def reference_points(rng, terms, fam):
+    """Random points, out-of-range and negative lifts, the origin, and lifts
+    of special-fibre zeros (so that p divides f(P))."""
+    p, mod, n = fam.context.p, fam.context.modulus, fam.n_vars
+    points = [[rng.randrange(mod) for _ in range(n)] for _ in range(6)]
+    points += [[rng.randrange(-3 * mod, 3 * mod) for _ in range(n)] for _ in range(2)]
+    points += [[0] * n, [mod] * n]
+    zeros = [pt for pt in ([rng.randrange(p) for _ in range(n)] for _ in range(3 * p))
+             if dense_poly_value(terms, pt) % p == 0]
+    for pt in zeros[:4]:
+        points.append([x + p * rng.randrange(mod) for x in pt])
+    return points
+
+
+class TestAgainstReference:
+    """The compiled per-family path against a dense evaluator and a scanned
+    discrete log on 300 seeded families."""
+
+    def test_point_routes(self):
+        rng = random.Random(11)
+        seen = {"exhausted": 0, "vanishing": 0, "p | f(P), e odd": 0, "p | f(P), e even": 0,
+                "sign twisted": 0}
+        for terms, fam in reference_families():
+            p, N, e = fam.context.p, fam.context.precision, fam.e
+            for pt in reference_points(rng, terms, fam):
+                value = dense_poly_value(terms, pt)
+                for m in (p, fam.context.modulus, rng.randrange(1, 1000)):
+                    assert fam.f.evaluate_mod(pt, m) == value % m
+                expected = norm_class_by_scan(value, p, N, e)
+                if expected is None:
+                    seen["exhausted"] += 1
+                    with pytest.raises(PrecisionExhausted):
+                        evaluate(fam, pt)
+                else:
+                    assert evaluate(fam, pt) == NormClass(e, expected)
+                    if value % p == 0:
+                        v = next(k for k in range(N) if value % p ** (k + 1))
+                        seen["p | f(P), e even" if e % 2 == 0 else "p | f(P), e odd"] += 1
+                        seen["sign twisted"] += v * (e - 1) % 2
+                if value % p == 0:
+                    seen["vanishing"] += 1
+                    with pytest.raises(SpecialFibreVanishing):
+                        special_eval(fam, pt)
+                else:
+                    assert special_eval(fam, pt) == NormClass(e, dlog_by_scan(value, p) % e)
+        assert min(seen.values()) > 20, seen
+
+    def test_verify_factorization_replay(self):
+        rng = random.Random(12)
+        for terms, fam in reference_families():
+            p, N, e = fam.context.p, fam.context.precision, fam.e
+            mod, n = fam.context.modulus, fam.n_vars
+            count, seed = rng.randrange(1, 40), rng.randrange(10**6)
+            replay = random.Random(seed)
+            primaries = [tuple(replay.randrange(mod) for _ in range(n)) for _ in range(count)]
+            tested = skipped = 0
+            failures = []
+            for pt in primaries:
+                fbar = dense_poly_value(terms, pt) % p
+                if fbar == 0:
+                    skipped += 1
+                    continue
+                tested += 1
+                special = dlog_by_scan(fbar, p) % e
+                partner = tuple((x + p * replay.randrange(mod // p)) % mod for x in pt)
+                for q in (pt, partner):
+                    generic = norm_class_by_scan(dense_poly_value(terms, q), p, N, e)
+                    if generic != special:
+                        failures.append(FailureRecord(q, generic, special))
+            expected = FactorizationReport(tested, skipped, tuple(failures), seed)
+            assert verify_factorization(fam, count, seed) == expected
+            assert failures == []
+
+    def test_constancy_classes(self):
+        checked = 0
+        for terms, fam in reference_families():
+            p, n = fam.context.p, fam.n_vars
+            if p ** n > 2500:
+                continue
+            expected = {}
+            for pt in itertools.product(range(p), repeat=n):
+                fbar = dense_poly_value(terms, pt) % p
+                if fbar:
+                    expected[pt] = dlog_by_scan(fbar, p) % fam.e
+            report = constancy_check(fam)
+            assert report.classes == expected
+            assert report.constant == (len(set(expected.values())) <= 1)
+            checked += 1
+        assert checked > 100
+
+    def test_degree_checked_before_precision(self):
+        for p in PRIMES_TO_101[:8]:
+            zero = PadicContext(p, 3).integer(p ** 3)
+            for e in range(1, p + 2):
+                if (p - 1) % e:
+                    with pytest.raises(DegreeIncompatible):
+                        norm_class(zero, e)
+                else:
+                    with pytest.raises(PrecisionExhausted):
+                        norm_class(zero, e)
+
+
+def test_special_class_once_per_value(monkeypatch):
+    # torsor's own eth_power_class binding serves only the special route
+    calls = []
+    original = tametorus.torsor.eth_power_class
+    monkeypatch.setattr(tametorus.torsor, "eth_power_class",
+                        lambda *args: calls.append(args) or original(*args))
+    fam = family(13, 4, P(2, ((1, (2, 0)), (3, (0, 1)), (1, (0, 0)))))
+    verify_factorization(fam, 500, seed=3)
+    points = sample_points(fam, 500, random.Random(3))
+    values = {fam.f.evaluate_mod(pt, 13) for pt in points} - {0}
+    assert len(calls) == len(values) <= 12
+    calls.clear()
+    report = constancy_check(fam)
+    assert len(calls) == len({fam.f.evaluate_mod(pt, 13) for pt in report.classes}) <= 12
+
+
+def test_compiled_forms_leave_eq_hash_and_json_alone():
+    fam, twin = family(5, 2, x_squared_plus_one()), family(5, 2, x_squared_plus_one())
+    evaluate(fam, [1])
+    special_eval(fam, [1])
+    assert fam == twin and hash(fam) == hash(twin)
+    assert fam.to_json_dict() == twin.to_json_dict()
+    assert [f.name for f in dataclasses.fields(fam)] == ["context", "e", "f"]
