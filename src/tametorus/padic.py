@@ -4,11 +4,12 @@ A PadicContext fixes an odd prime p and a working precision N; values
 are exact residues mod p^N with valuation bookkeeping.  `norm_class`
 computes the class of an element in K*/N(L*) for the totally ramified
 cyclic extension L = K(p^(1/e)) with e | p-1, via reduction and a
-discrete logarithm in the residue field.  `norm_class_oracle` answers
-the same question by brute force: exhaustively representing norms as
-determinants of multiplication matrices.  The two routes are
-independent; the oracle is the ground truth the formula is tested
-against.
+discrete logarithm in the residue field (Pohlig-Hellman over the prime
+powers dividing e, baby-step giant-step inside each).
+`norm_class_oracle` answers the same question by brute force:
+exhaustively representing norms as determinants of multiplication
+matrices.  The two routes are independent; the oracle is the ground
+truth the formula is tested against.
 
 Contexts with p = 2 (or p not prime) are rejected outright: in the wild
 case a unit's norm-class is not determined by its reduction, so nothing
@@ -39,6 +40,7 @@ __all__ = [
     "NormClass",
     "unit_part",
     "eth_power_class",
+    "dlog_steps",
     "norm_class",
     "norm_class_oracle",
     "power_exceeds",
@@ -46,6 +48,12 @@ __all__ = [
 
 ORACLE_CANDIDATE_CAP = 10_000_000
 PRECISION_CAP = 10_000
+# Bounds trial division (2^15 odd divisors), factoring p - 1 and the
+# largest baby-step table (2^16 entries).
+PRIME_CAP = 2 ** 32
+# A cyclic part of at most this order is tabulated whole, so a small e
+# costs one table lookup per discrete log.
+WHOLE_TABLE_ORDER = 64
 
 
 def power_exceeds(base: int, exponent: int, cap: int) -> bool:
@@ -66,23 +74,27 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _prime_factors(n: int) -> list[int]:
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    # (q, q^k) for each prime q with q^k exactly dividing n >= 1, by trial
+    # division by 2 and then by odd numbers only.
     out = []
     q = 2
     while q * q <= n:
         if n % q == 0:
-            out.append(q)
+            power = 1
             while n % q == 0:
                 n //= q
-        q += 1
+                power *= q
+            out.append((q, power))
+        q += 1 if q == 2 else 2
     if n > 1:
-        out.append(n)
+        out.append((n, n))
     return out
 
 
 def smallest_primitive_root(p: int) -> int:
     """Smallest primitive root mod an odd prime p (the canonical generator)."""
-    factors = _prime_factors(p - 1)
+    factors = [q for q, _ in _prime_powers(p - 1)]
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
             return g
@@ -91,7 +103,8 @@ def smallest_primitive_root(p: int) -> int:
 
 @dataclass(frozen=True)
 class PadicContext:
-    """An odd prime p together with a working precision 2 <= N <= PRECISION_CAP."""
+    """An odd prime p < PRIME_CAP together with a working precision
+    2 <= N <= PRECISION_CAP."""
 
     p: int
     precision: int
@@ -101,6 +114,8 @@ class PadicContext:
         object.__setattr__(self, "precision", operator.index(self.precision))
         if self.p == 2:
             raise ValueError("p = 2 is wildly ramified here and not supported")
+        if self.p >= PRIME_CAP:
+            raise ValueError(f"p must be below 2^32 = {PRIME_CAP}, got {self.p}")
         if self.p < 3 or not _is_prime(self.p):
             raise ValueError(f"p must be an odd prime, got {self.p}")
         if not 2 <= self.precision <= PRECISION_CAP:
@@ -206,27 +221,76 @@ def check_degree(p: int, e: int) -> None:
         raise DegreeIncompatible(f"e = {e} does not divide p - 1 = {p - 1}")
 
 
+def _dlog_parts(e: int) -> list[tuple[int, int, int]]:
+    # (order n, baby steps m, giant steps ceil(n / m)) of each cyclic part
+    # the discrete log solves: a small e whole, otherwise each prime power
+    # n exactly dividing e, with m = ceil(sqrt(n)).
+    if e <= WHOLE_TABLE_ORDER:
+        return [(e, e, 1)]
+    parts = []
+    for _, n in _prime_powers(e):
+        m = isqrt(n - 1) + 1
+        parts.append((n, m, -(-n // m)))
+    return parts
+
+
+def dlog_steps(p: int, e: int) -> int:
+    """Multiplications mod p of the discrete-log plan for (p, e), counted
+    without building it: per part of order n, the m baby steps of its
+    table, the ceil(n / m) giant steps of the longest search and the
+    squarings of the projection z -> z^(e/n)."""
+    check_degree(p, e)
+    return sum(m + giants + (e // n).bit_length() for n, m, giants in _dlog_parts(e))
+
+
+@lru_cache(maxsize=16)
+def _dlog_plan(p: int, e: int, g: int) -> tuple:
+    # Per part of order n, generated by w = g^((p-1)/n): the projection
+    # exponent e/n, the CRT coefficient (1 mod n, 0 mod e/n), the
+    # baby-step table {w^j: j} for j < m, the giant multiplier w^(-m) and
+    # the giant-step count.
+    plan = []
+    for n, m, giants in _dlog_parts(e):
+        cofactor = e // n
+        w = pow(g, (p - 1) // n, p)
+        table = {}
+        x = 1
+        for j in range(m):
+            table[x] = j
+            x = x * w % p
+        coefficient = cofactor * pow(cofactor, -1, n) % e
+        plan.append((cofactor, coefficient, table, pow(x, -1, p), giants))
+    return tuple(plan)
+
+
 def eth_power_class(u: PadicInt, e: int) -> NormClass:
     """Class of a unit in k*/(k*)^e, as a discrete log mod e.
 
     The value is dlog(u mod p) modulo e with respect to the smallest
     primitive root mod p, so it is 0 exactly when the reduction of u is
-    an e-th power in the residue field.
+    an e-th power in the residue field.  z = ubar^((p-1)/e) lies in the
+    order-e subgroup; its log is found by Pohlig-Hellman: projected to
+    each prime-power part, solved there by baby-step giant-step, and
+    combined by the Chinese remainder theorem.
     """
     ctx = u.context
-    check_degree(ctx.p, e)
-    ubar = u.residue % ctx.p
+    p = ctx.p
+    check_degree(p, e)
+    ubar = u.residue % p
     if ubar == 0:
         raise NotAUnit("reduction mod p is zero")
-    q = (ctx.p - 1) // e
-    z = pow(ubar, q, ctx.p)
-    w = pow(ctx.primitive_root, q, ctx.p)
-    acc = 1
-    for r in range(e):
-        if acc == z:
-            return NormClass(e, r)
-        acc = acc * w % ctx.p
-    raise AssertionError("unreachable: z lies in the subgroup generated by w")
+    z = pow(ubar, (p - 1) // e, p)
+    r = 0
+    for cofactor, coefficient, table, giant, giants in _dlog_plan(p, e, ctx.primitive_root):
+        y = pow(z, cofactor, p)
+        i = 0
+        while (j := table.get(y)) is None:
+            i += 1
+            if i == giants:
+                raise AssertionError("unreachable: z lies in the subgroup generated by g^((p-1)/e)")
+            y = y * giant % p
+        r += (i * len(table) + j) * coefficient
+    return NormClass(e, r % e)
 
 
 def norm_class(a: PadicInt, e: int) -> NormClass:

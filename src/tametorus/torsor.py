@@ -30,6 +30,7 @@ from .padic import (
     PadicContext,
     PadicInt,
     check_degree,
+    dlog_steps,
     eth_power_class,
     norm_class,
     power_exceeds,
@@ -51,6 +52,11 @@ __all__ = [
 ]
 
 CONSTANCY_ENUMERATION_CAP = 10 ** 6
+# Bound on min(p - 1, p^n_vars) * dlog_steps(p, e) for constancy_check:
+# each distinct nonzero value of fbar costs one discrete log.  The most
+# expensive accepted fibre (p = 510179, e = p - 1) takes about 9 s on a
+# 2-vCPU x86 machine, as long as 10^6 points at e = 2.
+CONSTANCY_DLOG_WORK_CAP = 10 ** 8
 SAMPLE_COUNT_CAP = 10 ** 6
 # Bound on sample_count * sample_work(family) for verify_factorization.
 # One work unit is about 0.011 us on a 2-vCPU x86 machine with Python 3.11
@@ -333,14 +339,15 @@ def sample_work(family: NormTorsorFamily) -> int:
 
     A sample draws 2 * n_vars coordinates mod p^N, evaluates f twice
     mod p^N (square-and-multiply for each variable power, each product
-    quadratic in the word length of p^N) and takes two discrete logs of
-    up to e steps.  The constants are fitted to timings at precision 4,
-    100, 1000 and 10^4; no number of the size of p^N is built.
+    quadratic in the word length of p^N) and takes discrete logs of up to
+    dlog_steps(p, e) steps.  The constants are fitted to timings at
+    precision 4, 100, 1000 and 10^4; no number of the size of p^N is built.
     """
     words = 1 + family.context.precision * family.context.p.bit_length() // 64
     mults = sum(k.bit_length() + bin(k).count("1") - 1
                 for _, pairs in family.f._sparse for _, k in pairs)
-    return 2000 + 7 * family.n_vars * (8 + words) + mults * (2 + words) ** 2 + 14 * family.e
+    return (2000 + 7 * family.n_vars * (8 + words) + mults * (2 + words) ** 2
+            + 14 * dlog_steps(family.context.p, family.e))
 
 
 def verify_factorization(family: NormTorsorFamily, sample_count: int, seed: int) -> FactorizationReport:
@@ -407,11 +414,19 @@ class ConstancyReport:
 
 def constancy_check(family: NormTorsorFamily) -> ConstancyReport:
     """Exhaust the special fibre's unit locus and report whether a single
-    class occurs.  Raises EnumerationTooLarge when p^n_vars > 10^6."""
+    class occurs.  Raises EnumerationTooLarge when p^n_vars > 10^6, or
+    when min(p - 1, p^n_vars) * dlog_steps(p, e) > CONSTANCY_DLOG_WORK_CAP."""
     p = family.context.p
     if power_exceeds(p, family.n_vars, CONSTANCY_ENUMERATION_CAP):
         raise EnumerationTooLarge(
             f"p^n_vars = {p}^{family.n_vars} exceeds {CONSTANCY_ENUMERATION_CAP}"
+        )
+    values = min(p - 1, p ** family.n_vars)
+    steps = dlog_steps(p, family.e)
+    if values * steps > CONSTANCY_DLOG_WORK_CAP:
+        raise EnumerationTooLarge(
+            f"min(p - 1, p^n_vars) * dlog_steps = {values} * {steps} exceeds "
+            f"{CONSTANCY_DLOG_WORK_CAP} (p = {p}, e = {family.e}, n_vars = {family.n_vars})"
         )
     classes: dict[tuple[int, ...], int] = {}
     special_classes: dict[int, int] = {}

@@ -298,6 +298,35 @@ def dlog_by_scan(value: int, p: int) -> int:
     return _generator_powers(p).index(value % p)
 
 
+def is_prime_mr(n: int) -> bool:
+    """Miller-Rabin with bases 2, 7, 61: exact for n < 4759123141 (test
+    reference; no trial division, no shared code path)."""
+    if n < 2 or n % 2 == 0:
+        return n == 2
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 7, 61):
+        if a % n == 0:
+            continue
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n, by pairing d with n // d for d <= sqrt(n)."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small) | {n // d for d in small})
+
+
 def norm_class_by_scan(value: int, p: int, precision: int, e: int):
     """Norm class in Z/e of an integer known mod p^precision, from the
     definition: strip v factors of p, twist the unit by (-1)^(v(e-1)) and

@@ -328,6 +328,12 @@ OVER_CAP = {
                                                      _family(precision=10**8))),
     "constancy-n-vars-huge": (1, "enumeration-too-large", (
         "constancy", "--family", _family(n_vars=30_000_000, f=[]))),
+    "constancy-dlog-work": (1, "enumeration-too-large", (
+        "constancy", "--family", _family(p=999959, precision=2, e=999958))),
+    "p-past-cap": (1, "invalid-value", ("norm-class", "--p", "1000000000039", "--e",
+                                        "1000000000038", "--a", "12345", "--precision", "2")),
+    "family-p-past-cap": (2, "malformed-input", ("constancy", "--family",
+                                                 _family(p=1000000000039, precision=2))),
     "verify-precision-times-samples": (1, "sampling-too-large", (
         "verify-diagram", "--family", _family(precision=10_000), "--samples", "1000000")),
     "verify-n-vars-times-samples": (1, "sampling-too-large", (

@@ -1,7 +1,9 @@
 import random
+import time
 
 import pytest
 
+import tametorus.padic
 from tametorus.errors import (
     ContextMismatch,
     DegreeIncompatible,
@@ -13,9 +15,11 @@ from tametorus.errors import (
 )
 from tametorus.padic import (
     PRECISION_CAP,
+    PRIME_CAP,
     NormClass,
     PadicContext,
     PadicInt,
+    dlog_steps,
     eth_power_class,
     field_norm,
     norm_class,
@@ -24,6 +28,8 @@ from tametorus.padic import (
     smallest_primitive_root,
     unit_part,
 )
+
+from helpers import divisors, dlog_by_scan, is_prime_mr
 
 
 class TestContext:
@@ -41,6 +47,16 @@ class TestContext:
         assert PadicContext(5, PRECISION_CAP).integer(-1).residue == 5 ** PRECISION_CAP - 1
         with pytest.raises(ValueError):
             PadicContext(5, PRECISION_CAP + 1)
+
+    def test_prime_cap(self):
+        largest = 2**32 - 5  # the largest prime below 2^32
+        assert is_prime_mr(largest) and PadicContext(largest, 2).p == largest
+        start = time.perf_counter()
+        for p in (2**32 + 15, 1_000_000_000_039, 10**100 + 267):
+            with pytest.raises(ValueError, match="below 2\\^32"):
+                PadicContext(p, 2)
+        assert time.perf_counter() - start < 1.0
+        assert PRIME_CAP == 2**32
 
     def test_primitive_roots(self):
         assert smallest_primitive_root(3) == 2
@@ -111,12 +127,51 @@ class TestEthPowerClass:
         assert 2 not in cubes
 
     def test_dlog_matches_brute_force(self):
-        for p, e in [(5, 2), (7, 2), (7, 3), (13, 2), (13, 3), (13, 4), (13, 6)]:
-            ctx = PadicContext(p, 4)
+        # every odd p < 400, every e | p - 1 and every unit
+        for p in range(3, 400, 2):
+            if not is_prime_mr(p):
+                continue
+            ctx = PadicContext(p, 2)
+            logs = [None] + [dlog_by_scan(u, p) for u in range(1, p)]
+            for e in divisors(p - 1):
+                for u in range(1, p):
+                    assert eth_power_class(ctx.integer(u), e).value == logs[u] % e, (p, e, u)
+
+    def test_large_primes_solve_the_power_residue_equation(self):
+        rng = random.Random(83)
+        for _ in range(8):
+            p = rng.randrange(10**4, PRIME_CAP)
+            while not is_prime_mr(p):
+                p = rng.randrange(10**4, PRIME_CAP)
+            ctx = PadicContext(p, 2)
             g = ctx.primitive_root
-            dlog = {pow(g, k, p): k for k in range(p - 1)}
-            for u in range(1, p):
-                assert eth_power_class(ctx.integer(u), e).value == dlog[u] % e
+            composite = [d for d in divisors(p - 1) if 1 < d < (p - 1) // 2 and not is_prime_mr(d)]
+            for e in (p - 1, (p - 1) // 2, rng.choice(composite)):
+                tametorus.padic._dlog_plan.cache_clear()
+                for _ in range(4):
+                    a = rng.randrange(1, p)
+                    r = eth_power_class(ctx.integer(a), e).value
+                    assert 0 <= r < e
+                    assert pow(a * pow(g, -r, p), (p - 1) // e, p) == 1, (p, e, a, r)
+
+    def test_class_near_half_of_a_safe_prime_near_two_to_31_is_fast(self):
+        # p - 1 = 2q with q prime: a scan would take about 10^9 steps here
+        p = 2147483579
+        e = p - 1
+        tametorus.padic._dlog_plan.cache_clear()
+        ctx = PadicContext(p, 3)
+        k = e // 2 + 12345
+        start = time.perf_counter()
+        value = norm_class(ctx.integer(pow(ctx.primitive_root, k, p) + p * 7), e).value
+        assert time.perf_counter() - start < 1.0
+        assert value == k
+
+    def test_dlog_steps_counts_the_plan(self):
+        assert dlog_steps(5, 2) == 2 + 1 + 1  # one whole table of 2 entries
+        assert dlog_steps(131, 65) == (3 + 2 + 4) + (4 + 4 + 3)  # parts of order 5 and 13
+        assert dlog_steps(999959, 999958) == (2 + 1 + 19) + (708 + 707 + 2)
+        with pytest.raises(DegreeIncompatible):
+            dlog_steps(7, 4)
 
     def test_not_a_unit(self):
         with pytest.raises(NotAUnit):

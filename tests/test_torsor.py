@@ -219,6 +219,25 @@ class TestConstancy:
         with pytest.raises(EnumerationTooLarge):
             constancy_check(fam)
 
+    def test_every_unit_class_at_e_equal_to_p_minus_one(self):
+        # fbar = x takes every value of F_p* once, so every class occurs
+        p = 10007
+        start = time.perf_counter()
+        report = constancy_check(family(p, p - 1, P.variable(1, 0), precision=2))
+        assert time.perf_counter() - start < 5.0
+        assert not report.constant and len(report.classes) == p - 1
+        for x in random.Random(89).sample(range(1, p), 50):
+            assert report.classes[(x,)] == dlog_by_scan(x, p)
+
+    def test_dlog_work_guard(self):
+        # p - 1 = 2 * 499979: one point per unit, each a discrete log of
+        # up to 1439 steps
+        fam = family(999959, 999958, P.variable(1, 0), precision=2)
+        start = time.perf_counter()
+        with pytest.raises(EnumerationTooLarge, match="p = 999959, e = 999958, n_vars = 1"):
+            constancy_check(fam)
+        assert time.perf_counter() - start < 1.0
+
 
 def test_family_json_roundtrip():
     fam = family(5, 2, x_squared_plus_one(), precision=6)
