@@ -15,7 +15,8 @@ class SubgroupViolation(DomainError):
 
 
 class ClosureCapExceeded(DomainError):
-    """Multiplicative closure of a matrix set grew past the element cap."""
+    """Multiplicative closure of a matrix set grew past the element cap or
+    the entry budget."""
 
 
 class NotUnimodular(DomainError):

@@ -16,6 +16,7 @@ from .lattice import (
     IntegerMatrix,
     LatticeQuotient,
     hstack,
+    json_dimension,
     json_int,
     kernel_basis,
     saturate,
@@ -35,6 +36,9 @@ __all__ = [
 ]
 
 DEFAULT_CLOSURE_CAP = 10_000
+# Matrix entries a closure may hold: the e = 256 norm torus's own closure,
+# 256 elements of rank 255.
+CLOSURE_ENTRY_CAP = 256 * 255 ** 2
 DEFAULT_ORDER_CAP = 10_000
 
 SUBGROUP_SELECTORS = ("full", "inertia", "wild_inertia")
@@ -78,7 +82,8 @@ def close_group(generators: Sequence[IntegerMatrix], *,
     are returned in a deterministic canonical order.
 
     Raises NotUnimodular for a generator with determinant other than
-    +/-1, and ClosureCapExceeded past DEFAULT_CLOSURE_CAP elements.
+    +/-1, and ClosureCapExceeded past DEFAULT_CLOSURE_CAP elements or
+    once the elements would hold more than CLOSURE_ENTRY_CAP entries.
     """
     gens = tuple(generators)
     if dimension is None:
@@ -88,9 +93,11 @@ def close_group(generators: Sequence[IntegerMatrix], *,
     for g in gens:
         if g.rows != dimension or g.cols != dimension:
             raise ValueError("generators must be square matrices of the stated dimension")
-        if g.det() not in (1, -1):
-            raise NotUnimodular(f"generator determinant {g.det()} is not a unit")
+        det = g.det()
+        if det not in (1, -1):
+            raise NotUnimodular(f"generator determinant {det} is not a unit")
 
+    cap = min(DEFAULT_CLOSURE_CAP, CLOSURE_ENTRY_CAP // max(dimension, 1) ** 2)
     ident = IntegerMatrix.identity(dimension)
     seen = {ident.entries: ident}
     frontier = [ident]
@@ -100,8 +107,9 @@ def close_group(generators: Sequence[IntegerMatrix], *,
             for g in gens:
                 y = x @ g
                 if y.entries not in seen:
-                    if len(seen) >= DEFAULT_CLOSURE_CAP:
-                        raise ClosureCapExceeded(f"closure exceeded {DEFAULT_CLOSURE_CAP} elements")
+                    if len(seen) >= cap:
+                        raise ClosureCapExceeded(
+                            f"closure of rank {dimension} exceeded {cap} elements")
                     seen[y.entries] = y
                     new_frontier.append(y)
         frontier = new_frontier
@@ -206,7 +214,7 @@ class GaloisLatticeModule:
     def from_json_dict(cls, d: dict) -> "GaloisLatticeModule":
         frob = d.get("frobenius")
         return cls(
-            lattice_rank=json_int(d["lattice_rank"]),
+            lattice_rank=json_dimension(d["lattice_rank"], "lattice_rank"),
             generators=[IntegerMatrix.from_json_dict(g) for g in d["generators"]],
             inertia=[json_int(i) for i in d.get("inertia", [])],
             wild_inertia=[json_int(i) for i in d.get("wild_inertia", [])],

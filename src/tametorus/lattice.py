@@ -35,11 +35,25 @@ __all__ = [
 ]
 
 
+# The largest lattice the package builds itself is rank 255 (the norm
+# torus at e = 256); a document may name no larger dimension, since the
+# identities built from one cost its square in time and memory.
+DIMENSION_CAP = 256
+
+
 def json_int(x) -> int:
     """An integer read from decoded JSON; float, bool and str raise TypeError."""
     if type(x) is not int:
         raise TypeError(f"expected an integer, got {x!r}")
     return x
+
+
+def json_dimension(x, what: str) -> int:
+    """A dimension read from decoded JSON: an integer at most DIMENSION_CAP."""
+    n = json_int(x)
+    if n > DIMENSION_CAP:
+        raise ValueError(f"{what} = {n} exceeds the dimension cap {DIMENSION_CAP}")
+    return n
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -228,8 +242,8 @@ class IntegerMatrix:
     @classmethod
     def from_json_dict(cls, d: dict) -> "IntegerMatrix":
         rows = [[json_int(x) for x in r] for r in d["entries"]]
-        m = cls.from_rows(rows, cols=json_int(d["cols"]))
-        if m.rows != json_int(d["rows"]):
+        m = cls.from_rows(rows, cols=json_dimension(d["cols"], "cols"))
+        if m.rows != json_dimension(d["rows"], "rows"):
             raise ValueError("row count does not match entries")
         return m
 
@@ -455,6 +469,8 @@ class FgAbelianGroup:
 
     @classmethod
     def cyclic(cls, n: int) -> "FgAbelianGroup":
+        """Z/|n|, with n = 0 meaning Z."""
+        n = abs(operator.index(n))
         if n == 0:
             return cls(1, ())
         return cls(0, (n,)) if n > 1 else cls(0, ())
@@ -516,7 +532,9 @@ class FgAbelianGroup:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FgAbelianGroup":
-        return cls(json_int(d["free_rank"]), tuple(json_int(x) for x in d["invariant_factors"]))
+        group = cls(json_int(d["free_rank"]), tuple(json_int(x) for x in d["invariant_factors"]))
+        json_dimension(group.num_generators, "free_rank plus the factor count")
+        return group
 
     def __str__(self) -> str:
         parts = ["Z"] * self.free_rank + [f"C{d}" for d in self.invariant_factors]

@@ -63,33 +63,24 @@ def power_exceeds(base: int, exponent: int, cap: int) -> bool:
     return base ** min(exponent, cap.bit_length()) > cap
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    for q in range(3, isqrt(n) + 1, 2):
-        if n % q == 0:
-            return False
-    return True
-
-
-def _prime_powers(n: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=64)
+def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
     # (q, q^k) for each prime q with q^k exactly dividing n >= 1, by trial
-    # division by 2 and then by odd numbers only.
+    # division by 2 and then by odd numbers only.  Cached, so the primality
+    # of p, the primitive root's p - 1 and the parts of e share one run.
     out = []
-    q = 2
-    while q * q <= n:
+    for q in itertools.chain((2,) if n >= 4 else (), range(3, isqrt(n) + 1, 2)):
         if n % q == 0:
             power = 1
             while n % q == 0:
                 n //= q
                 power *= q
             out.append((q, power))
-        q += 1 if q == 2 else 2
+            if q * q > n:
+                break
     if n > 1:
         out.append((n, n))
-    return out
+    return tuple(out)
 
 
 def smallest_primitive_root(p: int) -> int:
@@ -116,7 +107,7 @@ class PadicContext:
             raise ValueError("p = 2 is wildly ramified here and not supported")
         if self.p >= PRIME_CAP:
             raise ValueError(f"p must be below 2^32 = {PRIME_CAP}, got {self.p}")
-        if self.p < 3 or not _is_prime(self.p):
+        if self.p < 3 or _prime_powers(self.p) != ((self.p, self.p),):
             raise ValueError(f"p must be an odd prime, got {self.p}")
         if not 2 <= self.precision <= PRECISION_CAP:
             raise ValueError(f"precision must be between 2 and {PRECISION_CAP}")
@@ -130,7 +121,7 @@ class PadicContext:
         return smallest_primitive_root(self.p)
 
     def integer(self, value: int) -> "PadicInt":
-        return PadicInt(self, value % self.modulus)
+        return PadicInt(self, value)
 
 
 @dataclass(frozen=True)
@@ -153,12 +144,7 @@ class PadicInt:
         """min(v_p(residue), N); equal to N exactly when exhausted."""
         if self.residue == 0:
             return self.context.precision
-        v = 0
-        r = self.residue
-        while r % self.context.p == 0:
-            r //= self.context.p
-            v += 1
-        return v
+        return _split(self.residue, self.context.p)[0]
 
     def _check_context(self, other: "PadicInt") -> None:
         if self.context != other.context:
@@ -180,15 +166,24 @@ class PadicInt:
         return f"PadicInt({self.residue} mod {self.context.p}^{self.context.precision})"
 
 
+def _split(n: int, p: int) -> tuple[int, int]:
+    # (v, u) with n = p^v * u and p not dividing u, for a residue n mod p^N.
+    if n == 0:
+        raise PrecisionExhausted("value is 0 mod p^N; no unit decomposition exists")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
 def unit_part(a: PadicInt) -> tuple[int, PadicInt]:
     """Decompose a = p^v * u with u a unit (known mod p^(N-v)).
 
     Raises PrecisionExhausted when a is zero to working precision.
     """
-    if a.is_exhausted:
-        raise PrecisionExhausted("value is 0 mod p^N; no unit decomposition exists")
-    v = a.known_valuation
-    return v, PadicInt(a.context, a.residue // a.context.p ** v)
+    v, u = _split(a.residue, a.context.p)
+    return v, PadicInt(a.context, u)
 
 
 @dataclass(frozen=True)
@@ -302,13 +297,7 @@ def norm_class(a: PadicInt, e: int) -> NormClass:
     """
     p = a.context.p
     check_degree(p, e)
-    u = a.residue
-    if u == 0:
-        raise PrecisionExhausted("value is 0 mod p^N; no unit decomposition exists")
-    v = 0
-    while u % p == 0:
-        u //= p
-        v += 1
+    v, u = _split(a.residue, p)
     if v * (e - 1) % 2:
         u = -u
     return eth_power_class(PadicInt(a.context, u), e)
@@ -330,7 +319,10 @@ def field_norm(p: int, e: int, coeffs: tuple[int, ...]) -> int:
     return det_rows(_mult_matrix_rows(p, e, coeffs))
 
 
-@lru_cache(maxsize=None)
+# Oracle traffic comes grouped by key (a run of queries at one p, e,
+# search precision and valuation), so a few entries keep every hit; one
+# entry can hold ~185k residues.
+@lru_cache(maxsize=8)
 def _norm_residue_master(p: int, e: int, search_precision: int, k_build: int) -> frozenset:
     # All residues mod p^k_build of N(t^j b), b over coefficient vectors
     # mod p^search_precision, j in 0..e-1.  N(t) = (-1)^(e-1) p.
@@ -346,7 +338,7 @@ def _norm_residue_master(p: int, e: int, search_precision: int, k_build: int) ->
     return frozenset(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _norm_residue_set(p: int, e: int, search_precision: int, k: int) -> frozenset:
     # Norm residues mod p^k; built from a shared master set at the finest
     # exponent any sound query at this search precision can need.
@@ -377,7 +369,7 @@ def norm_class_oracle(a: PadicInt, e: int, search_precision: int) -> NormClass:
         raise SearchSpaceTooLarge(
             f"p^(e*search_precision) = {ctx.p}^{e * search_precision} exceeds {ORACLE_CANDIDATE_CAP}"
         )
-    v, _ = unit_part(a)
+    v, _ = _split(a.residue, ctx.p)
     if v + 2 > ctx.precision:
         raise PrecisionExhausted(
             f"need a mod p^{v + 2} but the context only carries p^{ctx.precision}"

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import time
 
 import pytest
@@ -338,6 +339,13 @@ OVER_CAP = {
         "verify-diagram", "--family", _family(precision=10_000), "--samples", "1000000")),
     "verify-n-vars-times-samples": (1, "sampling-too-large", (
         "verify-diagram", "--family", _family(n_vars=10**7, f=[]), "--samples", "1000")),
+    "group-rank-huge": (2, "malformed-input", (
+        "h1", "--group", '{"free_rank":100000000,"invariant_factors":[]}',
+        "--frobenius", "identity")),
+    "matrix-cols-huge": (2, "malformed-input", (
+        "snf", "--matrix", '{"rows":0,"cols":100000000,"entries":[]}')),
+    "module-rank-huge": (2, "malformed-input", (
+        "coinvariants", "--module", '{"lattice_rank":100000000,"generators":[]}')),
 }
 
 
@@ -349,6 +357,28 @@ def test_parameters_past_their_cap_fail_fast(capsys, expected_code, error, argv)
     assert code == expected_code
     assert out == ""
     assert json.loads(err)["error"] == error
+
+
+def _permutation_module(cycles):
+    n = sum(cycles)
+    image = []
+    for c in cycles:
+        image += [len(image) + (i + 1) % c for i in range(c)]
+    entries = [[int(image[j] == i) for j in range(n)] for i in range(n)]
+    return json.dumps({"lattice_rank": n,
+                       "generators": [{"rows": n, "cols": n, "entries": entries}]})
+
+
+def test_closure_is_charged_for_its_entries(capsys):
+    # Order 2*3*5*...*23 at rank 100: the entry budget stops the closure
+    # long before the element cap would.
+    module = _permutation_module([2, 3, 5, 7, 11, 13, 17, 19, 23])
+    code, out, err = run_cli(capsys, "coinvariants", "--module", module)
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["error"] == "closure-cap-exceeded"
+    assert "rank 100" in error["detail"]
+    assert int(re.search(r"(\d+) elements", error["detail"]).group(1)) <= 1664
 
 
 VALID_REQUESTS = [

@@ -276,6 +276,10 @@ class TestFgAbelianGroup:
         assert FgAbelianGroup.from_cyclic_orders([0, 6, 4]) == FgAbelianGroup(1, (2, 12))
         assert FgAbelianGroup.from_cyclic_orders([]) == FgAbelianGroup.trivial()
 
+    def test_cyclic_matches_from_cyclic_orders(self):
+        for n in range(-12, 13):
+            assert FgAbelianGroup.cyclic(n) == FgAbelianGroup.from_cyclic_orders([n]), n
+
     def test_order_and_exponent(self):
         g = FgAbelianGroup(0, (2, 4))
         assert g.order() == 8 and g.exponent() == 4
@@ -321,6 +325,17 @@ class TestFgAbelianGroup:
         assert FgAbelianGroup.from_json_dict(g.to_json_dict()) == g
         m = mat([[1, -2], [0, 7]])
         assert IntegerMatrix.from_json_dict(m.to_json_dict()) == m
+
+    def test_json_dimensions_are_capped(self):
+        cap = lattice.DIMENSION_CAP
+        assert IntegerMatrix.from_json_dict({"rows": 0, "cols": cap, "entries": []}).cols == cap
+        assert FgAbelianGroup.from_json_dict({"free_rank": cap - 1, "invariant_factors": [2]})
+        for doc in ({"rows": 0, "cols": cap + 1, "entries": []},
+                    {"rows": cap + 1, "cols": 0, "entries": [[]] * (cap + 1)}):
+            with pytest.raises(ValueError, match="dimension cap"):
+                IntegerMatrix.from_json_dict(doc)
+        with pytest.raises(ValueError, match="dimension cap"):
+            FgAbelianGroup.from_json_dict({"free_rank": cap, "invariant_factors": [2]})
 
 
 def test_stack_helpers():

@@ -1,6 +1,8 @@
 """Package-wide contracts: module boundaries and exact integer inputs."""
 
 import ast
+import importlib
+import importlib.util
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,6 +41,18 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) > 5
     assert [name for path in modules for name in private_sibling_names(path)] == []
+
+
+def test_benchmark_traced_names_resolve():
+    # The benchmark traces these by name; a rename must fail here, not only
+    # in the benchmark's own selftest.
+    spec = importlib.util.spec_from_file_location(
+        "bench_spans", PACKAGE.parents[1] / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{module}.{attr}" for module, attr in spans.TRACED.values()
+               if not hasattr(importlib.import_module(f"tametorus.{module}"), attr)]
+    assert spans.TRACED and missing == []
 
 
 def _family():

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 
 import pytest
@@ -32,6 +33,14 @@ from tametorus.padic import (
 from helpers import divisors, dlog_by_scan, is_prime_mr
 
 
+def clear_package_caches():
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tametorus"):
+            for obj in list(vars(module).values()):
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
+
 class TestContext:
     def test_rejects_two(self):
         with pytest.raises(ValueError, match="wildly"):
@@ -57,6 +66,22 @@ class TestContext:
                 PadicContext(p, 2)
         assert time.perf_counter() - start < 1.0
         assert PRIME_CAP == 2**32
+
+    def test_accepts_exactly_the_odd_primes(self):
+        for n in [*range(-2, 3000), *range(PRIME_CAP - 40, PRIME_CAP)]:
+            if n != 2 and is_prime_mr(n):
+                assert PadicContext(n, 2).p == n
+            else:
+                with pytest.raises(ValueError):
+                    PadicContext(n, 2)
+
+    def test_each_number_is_factored_once(self):
+        clear_package_caches()
+        p = 1000003
+        norm_class(PadicContext(p, 2).integer(12345), p - 1)
+        assert tametorus.padic._prime_powers.cache_info().misses == 2  # p and p - 1
+        norm_class(PadicContext(p, 3).integer(54321), p - 1)
+        assert tametorus.padic._prime_powers.cache_info().misses == 2
 
     def test_primitive_roots(self):
         assert smallest_primitive_root(3) == 2
@@ -111,6 +136,24 @@ class TestUnitPart:
         with pytest.raises(PrecisionExhausted):
             unit_part(PadicContext(5, 4).integer(625))
 
+    def test_valuation_split_on_every_residue(self):
+        for p in (3, 5, 7):
+            ctx = PadicContext(p, 4)
+            zero = ctx.integer(0)
+            assert zero.known_valuation == 4
+            for split in (unit_part, lambda a: norm_class(a, 2)):
+                with pytest.raises(PrecisionExhausted):
+                    split(zero)
+            for r in range(1, p**4):
+                v = max(k for k in range(4) if r % p**k == 0)
+                u = r // p**v
+                a = ctx.integer(r)
+                assert a.known_valuation == v
+                assert unit_part(a) == (v, ctx.integer(u))
+                for e in divisors(p - 1):
+                    twisted = -u if v * (e - 1) % 2 else u
+                    assert norm_class(a, e) == eth_power_class(ctx.integer(twisted), e)
+
 
 class TestEthPowerClass:
     def test_one_is_always_a_power(self):
@@ -148,6 +191,7 @@ class TestEthPowerClass:
             composite = [d for d in divisors(p - 1) if 1 < d < (p - 1) // 2 and not is_prime_mr(d)]
             for e in (p - 1, (p - 1) // 2, rng.choice(composite)):
                 tametorus.padic._dlog_plan.cache_clear()
+                tametorus.padic._prime_powers.cache_clear()
                 for _ in range(4):
                     a = rng.randrange(1, p)
                     r = eth_power_class(ctx.integer(a), e).value
@@ -159,6 +203,7 @@ class TestEthPowerClass:
         p = 2147483579
         e = p - 1
         tametorus.padic._dlog_plan.cache_clear()
+        tametorus.padic._prime_powers.cache_clear()
         ctx = PadicContext(p, 3)
         k = e // 2 + 12345
         start = time.perf_counter()
