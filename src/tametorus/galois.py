@@ -12,6 +12,7 @@ from typing import Optional, Sequence
 
 from .errors import ClosureCapExceeded, InfiniteOrder, NotUnimodular
 from .lattice import (
+    DIMENSION_CAP,
     FgAbelianGroup,
     IntegerMatrix,
     LatticeQuotient,
@@ -36,10 +37,14 @@ __all__ = [
 ]
 
 DEFAULT_CLOSURE_CAP = 10_000
-# Matrix entries a closure may hold: the e = 256 norm torus's own closure,
+# Words a closure may hold, an element of rank n with entries below 2^b
+# costing n^2 * (1 + b // 64): the e = 256 norm torus's own closure,
 # 256 elements of rank 255.
-CLOSURE_ENTRY_CAP = 256 * 255 ** 2
-DEFAULT_ORDER_CAP = 10_000
+CLOSURE_ENTRY_CAP = DIMENSION_CAP * (DIMENSION_CAP - 1) ** 2
+# Work endomorphism_order may spend, a k x k product with entries below
+# 2^b costing k^3 * (1 + b // 64): a dense rank-128 matrix reaches it in
+# about 9 s on a 2-vCPU x86 machine.
+ORDER_WORK_CAP = 10 ** 8
 
 SUBGROUP_SELECTORS = ("full", "inertia", "wild_inertia")
 
@@ -73,6 +78,11 @@ class MatrixGroup:
         return f"MatrixGroup(dimension={self.dimension}, order={self.order})"
 
 
+def _bits(m: IntegerMatrix) -> int:
+    """Bit length of the largest |entry| of m."""
+    return max(map(abs, m.entries), default=0).bit_length()
+
+
 def close_group(generators: Sequence[IntegerMatrix], *,
                 dimension: Optional[int] = None) -> MatrixGroup:
     """Multiplicative closure of a set of unimodular matrices.
@@ -83,7 +93,7 @@ def close_group(generators: Sequence[IntegerMatrix], *,
 
     Raises NotUnimodular for a generator with determinant other than
     +/-1, and ClosureCapExceeded past DEFAULT_CLOSURE_CAP elements or
-    once the elements would hold more than CLOSURE_ENTRY_CAP entries.
+    once the elements would hold more than CLOSURE_ENTRY_CAP words.
     """
     gens = tuple(generators)
     if dimension is None:
@@ -97,23 +107,30 @@ def close_group(generators: Sequence[IntegerMatrix], *,
         if det not in (1, -1):
             raise NotUnimodular(f"generator determinant {det} is not a unit")
 
-    cap = min(DEFAULT_CLOSURE_CAP, CLOSURE_ENTRY_CAP // max(dimension, 1) ** 2)
     ident = IntegerMatrix.identity(dimension)
-    seen = {ident.entries: ident}
-    frontier = [ident]
-    while frontier:
-        new_frontier = []
-        for x in frontier:
-            for g in gens:
-                y = x @ g
-                if y.entries not in seen:
-                    if len(seen) >= cap:
-                        raise ClosureCapExceeded(
-                            f"closure of rank {dimension} exceeded {cap} elements")
-                    seen[y.entries] = y
-                    new_frontier.append(y)
-        frontier = new_frontier
-    elements = tuple(sorted(seen.values(), key=lambda m: m.entries))
+    # Breadth-first over one queue of (element, bound on its entries' bit
+    # length); repeats and the identity add nothing to the closure.  A
+    # product's bound is its factors' bounds plus rank.bit_length(),
+    # measured exactly once it passes one machine word.
+    steps = [(g, _bits(g)) for g in dict.fromkeys(gens) if g != ident]
+    queue = [(ident, _bits(ident))]
+    seen = {ident.entries}
+    words = dimension ** 2
+    for x, x_bits in queue:
+        for g, g_bits in steps:
+            y = x @ g
+            if y.entries in seen:
+                continue
+            y_bits = x_bits + g_bits + dimension.bit_length()
+            if y_bits >= 64:
+                y_bits = _bits(y)
+            words += dimension ** 2 * (1 + y_bits // 64)
+            if len(queue) >= DEFAULT_CLOSURE_CAP or words > CLOSURE_ENTRY_CAP:
+                raise ClosureCapExceeded(
+                    f"closure of rank {dimension} exceeded {len(queue)} elements")
+            seen.add(y.entries)
+            queue.append((y, y_bits))
+    elements = tuple(sorted((x for x, _ in queue), key=lambda m: m.entries))
     return MatrixGroup(dimension, gens, elements)
 
 
@@ -282,19 +299,32 @@ def _reduce_endo(group: FgAbelianGroup, matrix: IntegerMatrix) -> IntegerMatrix:
 
 
 def endomorphism_order(group: FgAbelianGroup, matrix: IntegerMatrix, *,
-                       cap: int = DEFAULT_ORDER_CAP) -> int:
+                       cap: int = DEFAULT_CLOSURE_CAP) -> int:
     """Multiplicative order of `matrix` as an endomorphism of the group.
 
     Raises InfiniteOrder when no power within `cap` acts as the identity
-    (in particular when the matrix is not invertible on the group).
+    (in particular when the matrix is not invertible on the group), or
+    once the powers would cost more than ORDER_WORK_CAP.
     """
     check_presented_endomorphism(group, matrix)
-    ident = IntegerMatrix.identity(group.num_generators)  # reduced, as every d_i >= 2
+    k = group.num_generators
+    ident = IntegerMatrix.identity(k)  # reduced, as every d_i >= 2
     acc = _reduce_endo(group, matrix)
+    # Bit-length bounds as in close_group; reducing mod d_i leaves an entry
+    # below the largest d_i, which step_bits covers too.
+    step_bits = max(_bits(matrix), max(group.invariant_factors, default=0).bit_length())
+    acc_bits, work = step_bits, 0
     for m in range(1, cap + 1):
         if acc == ident:
             return m
+        acc_bits += step_bits + k.bit_length()
+        work += k ** 3 * (1 + acc_bits // 64)
+        if work > ORDER_WORK_CAP:
+            raise InfiniteOrder(f"no power up to {m} of the rank-{k} matrix acts as the "
+                                f"identity within {ORDER_WORK_CAP} work units")
         acc = _reduce_endo(group, acc @ matrix)
+        if acc_bits >= 64:
+            acc_bits = _bits(acc)
     raise InfiniteOrder(f"no power up to {cap} acts as the identity")
 
 
@@ -309,8 +339,9 @@ def cyclic_h1(group: FgAbelianGroup, frobenius: IntegerMatrix) -> FgAbelianGroup
     invariants along (F - 1)A, that union is the set of x with a multiple
     in (F - 1)A.
 
-    Raises InfiniteOrder when no power of `frobenius` up to DEFAULT_ORDER_CAP
-    acts as the identity, and ValueError when it is not an endomorphism.
+    Raises InfiniteOrder when no power of `frobenius` up to
+    DEFAULT_CLOSURE_CAP acts as the identity, or once its powers cost more
+    than ORDER_WORK_CAP, and ValueError when it is not an endomorphism.
 
     >>> cyclic_h1(FgAbelianGroup.cyclic(2), IntegerMatrix.identity(1))
     FgAbelianGroup(free_rank=0, invariant_factors=(2,))

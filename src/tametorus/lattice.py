@@ -386,9 +386,8 @@ def smith_normal_form(A: IntegerMatrix) -> SnfResult:
             for j in range(t + 1, n):
                 if S[t][j]:
                     _col_gcd_op(S, V, t, j)
-            if all(S[i][t] == 0 for i in range(t + 1, m)) and all(
-                S[t][j] == 0 for j in range(t + 1, n)
-            ):
+            # Row t is clear: each column step zeroes its S[t][j] for good.
+            if all(S[i][t] == 0 for i in range(t + 1, m)):
                 break
         t += 1
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import FrobeniusDoesNotDescend, TamenessViolation
 from .galois import GaloisLatticeModule, check_presented_endomorphism, coinvariants, cyclic_h1
-from .lattice import FgAbelianGroup, IntegerMatrix, json_int, unimodular_inverse
+from .lattice import DIMENSION_CAP, FgAbelianGroup, IntegerMatrix, json_int, unimodular_inverse
 
 __all__ = [
     "TameTorusSpec",
@@ -26,7 +26,7 @@ __all__ = [
 
 # component_group closes the rank e-1 inertia action: e matrices of
 # (e-1)^2 entries each, so memory grows as e^3.
-NORM_TORUS_DEGREE_CAP = 256
+NORM_TORUS_DEGREE_CAP = DIMENSION_CAP
 
 
 class TameTorusSpec:

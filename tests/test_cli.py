@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import re
 import time
 
@@ -379,6 +380,37 @@ def test_closure_is_charged_for_its_entries(capsys):
     assert error["error"] == "closure-cap-exceeded"
     assert "rank 100" in error["detail"]
     assert int(re.search(r"(\d+) elements", error["detail"]).group(1)) <= 1664
+
+
+def _row_additions(n, count):
+    # Seeded row additions to I: a nonnegative unimodular matrix that is not
+    # a permutation, so of infinite order, whose powers' entries grow.
+    rng = random.Random(n)
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(count):
+        i, j = rng.sample(range(n), 2)
+        rows[i] = [a + b for a, b in zip(rows[i], rows[j])]
+    return {"rows": n, "cols": n, "entries": rows}
+
+
+def test_closure_is_charged_for_the_words_of_its_entries(capsys):
+    module = json.dumps({"lattice_rank": 8, "generators": [_row_additions(8, 32)]})
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "coinvariants", "--module", module)
+    assert time.perf_counter() - start < 3.0
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["error"] == "closure-cap-exceeded"
+    assert int(re.search(r"(\d+) elements", error["detail"]).group(1)) < 10_000
+
+
+def test_order_loop_is_charged_for_its_work(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "h1", "--group", '{"free_rank":16,"invariant_factors":[]}',
+                             "--frobenius", json.dumps(_row_additions(16, 64)))
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "infinite-order"
 
 
 VALID_REQUESTS = [

@@ -1,4 +1,6 @@
 import random
+import re
+import time
 
 import pytest
 
@@ -69,6 +71,35 @@ class TestCloseGroup:
         grp = close_group([ORDER3])
         inv = unimodular_inverse(ORDER3)
         assert inv in grp
+
+    def test_each_distinct_generator_multiplies_each_element_once(self, monkeypatch):
+        # One permutation of rank 30 with cycles 3, 4, 5, 7, 11 (order 4620).
+        image = []
+        for c in (3, 4, 5, 7, 11):
+            image += [len(image) + (i + 1) % c for i in range(c)]
+        g = mat([[int(image[j] == i) for j in range(30)] for i in range(30)])
+        products = []
+        matmul = IntegerMatrix.__matmul__
+        monkeypatch.setattr(IntegerMatrix, "__matmul__",
+                            lambda a, b: products.append(1) or matmul(a, b))
+        groups = []
+        for gens in ([g], [g] * 4, [g, IntegerMatrix.identity(30)]):
+            products.clear()
+            groups.append(close_group(gens))
+            assert len(products) == 4620
+            assert groups[-1].generators == tuple(gens)
+        assert groups[0].elements == groups[1].elements == groups[2].elements
+        assert groups[0].order == 4620
+
+    def test_cap_counts_words_of_large_entries(self):
+        # A shear whose entries start past one machine word: the word budget
+        # stops it long before the element cap.
+        shear = IntegerMatrix.identity(4) + mat([[0, 0, 0, 2 ** 20000]] + [[0] * 4] * 3)
+        start = time.perf_counter()
+        with pytest.raises(ClosureCapExceeded) as info:
+            close_group([shear])
+        assert time.perf_counter() - start < 1.0
+        assert int(re.search(r"(\d+) elements", str(info.value)).group(1)) < 10_000
 
 
 class TestModuleValidation:
