@@ -37,13 +37,15 @@ __all__ = [
 ]
 
 DEFAULT_CLOSURE_CAP = 10_000
-# Words a closure may hold, an element of rank n with entries below 2^b
-# costing n^2 * (1 + b // 64): the e = 256 norm torus's own closure,
-# 256 elements of rank 255.
+# Words a closure may hold, an element of rank n whose largest entry has
+# bit length b costing n^2 * (1 + b // 64): the e = 256 norm torus's own
+# closure, 256 elements of rank 255.
 CLOSURE_ENTRY_CAP = DIMENSION_CAP * (DIMENSION_CAP - 1) ** 2
-# Work endomorphism_order may spend, a k x k product with entries below
-# 2^b costing k^3 * (1 + b // 64): a dense rank-128 matrix reaches it in
-# about 9 s on a 2-vCPU x86 machine.
+# Work endomorphism_order may spend, a power of rank k with z nonzero
+# entries, the largest of bit length b, costing k * (k + z * (1 + b // 64)),
+# what its product with F loops over.  At 100-250 ns a unit on a 2-vCPU x86
+# machine it stops a loop within about 10-25 s, and it admits the e = 256
+# norm torus's rank-255 action (256 powers, 5 * 10^7 units).
 ORDER_WORK_CAP = 10 ** 8
 
 SUBGROUP_SELECTORS = ("full", "inertia", "wild_inertia")
@@ -78,9 +80,10 @@ class MatrixGroup:
         return f"MatrixGroup(dimension={self.dimension}, order={self.order})"
 
 
-def _bits(m: IntegerMatrix) -> int:
-    """Bit length of the largest |entry| of m."""
-    return max(map(abs, m.entries), default=0).bit_length()
+def _words(m: IntegerMatrix) -> int:
+    """Machine words per entry of m: 1 + b // 64, b the bit length of its
+    largest |entry|."""
+    return 1 + max(map(abs, m.entries), default=0).bit_length() // 64
 
 
 def close_group(generators: Sequence[IntegerMatrix], *,
@@ -108,29 +111,24 @@ def close_group(generators: Sequence[IntegerMatrix], *,
             raise NotUnimodular(f"generator determinant {det} is not a unit")
 
     ident = IntegerMatrix.identity(dimension)
-    # Breadth-first over one queue of (element, bound on its entries' bit
-    # length); repeats and the identity add nothing to the closure.  A
-    # product's bound is its factors' bounds plus rank.bit_length(),
-    # measured exactly once it passes one machine word.
-    steps = [(g, _bits(g)) for g in dict.fromkeys(gens) if g != ident]
-    queue = [(ident, _bits(ident))]
+    # Breadth-first over one queue; repeats and the identity add nothing
+    # to the closure.
+    steps = [g for g in dict.fromkeys(gens) if g != ident]
+    queue = [ident]
     seen = {ident.entries}
     words = dimension ** 2
-    for x, x_bits in queue:
-        for g, g_bits in steps:
+    for x in queue:
+        for g in steps:
             y = x @ g
             if y.entries in seen:
                 continue
-            y_bits = x_bits + g_bits + dimension.bit_length()
-            if y_bits >= 64:
-                y_bits = _bits(y)
-            words += dimension ** 2 * (1 + y_bits // 64)
+            words += dimension ** 2 * _words(y)
             if len(queue) >= DEFAULT_CLOSURE_CAP or words > CLOSURE_ENTRY_CAP:
                 raise ClosureCapExceeded(
                     f"closure of rank {dimension} exceeded {len(queue)} elements")
             seen.add(y.entries)
-            queue.append((y, y_bits))
-    elements = tuple(sorted((x for x, _ in queue), key=lambda m: m.entries))
+            queue.append(y)
+    elements = tuple(sorted(queue, key=lambda m: m.entries))
     return MatrixGroup(dimension, gens, elements)
 
 
@@ -293,9 +291,12 @@ def check_presented_endomorphism(group: FgAbelianGroup, matrix: IntegerMatrix) -
 
 
 def _reduce_endo(group: FgAbelianGroup, matrix: IntegerMatrix) -> IntegerMatrix:
-    """Canonical representative of an endomorphism (each column reduced)."""
-    return IntegerMatrix.from_cols([group.reduce(matrix.col(j)) for j in range(matrix.cols)],
-                                   rows=matrix.rows)
+    """Canonical representative of an endomorphism: each column reduced,
+    that is row i taken mod d_i for each torsion coordinate."""
+    k, entries = matrix.cols, list(matrix.entries)
+    for i, d in enumerate(group.invariant_factors):
+        entries[i * k:(i + 1) * k] = [x % d for x in entries[i * k:(i + 1) * k]]
+    return IntegerMatrix(matrix.rows, k, tuple(entries))
 
 
 def endomorphism_order(group: FgAbelianGroup, matrix: IntegerMatrix, *,
@@ -310,21 +311,17 @@ def endomorphism_order(group: FgAbelianGroup, matrix: IntegerMatrix, *,
     k = group.num_generators
     ident = IntegerMatrix.identity(k)  # reduced, as every d_i >= 2
     acc = _reduce_endo(group, matrix)
-    # Bit-length bounds as in close_group; reducing mod d_i leaves an entry
-    # below the largest d_i, which step_bits covers too.
-    step_bits = max(_bits(matrix), max(group.invariant_factors, default=0).bit_length())
-    acc_bits, work = step_bits, 0
+    work = 0
     for m in range(1, cap + 1):
         if acc == ident:
             return m
-        acc_bits += step_bits + k.bit_length()
-        work += k ** 3 * (1 + acc_bits // 64)
+        # What acc @ matrix loops over: each entry of acc, and k
+        # multiply-adds for each nonzero one.
+        work += k * (k + (k * k - acc.entries.count(0)) * _words(acc))
         if work > ORDER_WORK_CAP:
             raise InfiniteOrder(f"no power up to {m} of the rank-{k} matrix acts as the "
                                 f"identity within {ORDER_WORK_CAP} work units")
         acc = _reduce_endo(group, acc @ matrix)
-        if acc_bits >= 64:
-            acc_bits = _bits(acc)
     raise InfiniteOrder(f"no power up to {cap} acts as the identity")
 
 
