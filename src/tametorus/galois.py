@@ -8,6 +8,8 @@ procyclic action on a finitely generated abelian group.
 
 from __future__ import annotations
 
+import operator
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import ClosureCapExceeded, InfiniteOrder, NotUnimodular
@@ -41,11 +43,13 @@ DEFAULT_CLOSURE_CAP = 10_000
 # bit length b costing n^2 * (1 + b // 64): the e = 256 norm torus's own
 # closure, 256 elements of rank 255.
 CLOSURE_ENTRY_CAP = DIMENSION_CAP * (DIMENSION_CAP - 1) ** 2
-# Work endomorphism_order may spend, a power of rank k with z nonzero
-# entries, the largest of bit length b, costing k * (k + z * (1 + b // 64)),
-# what its product with F loops over.  At 100-250 ns a unit on a 2-vCPU x86
-# machine it stops a loop within about 10-25 s, and it admits the e = 256
-# norm torus's rank-255 action (256 powers, 5 * 10^7 units).
+# Work endomorphism_order may spend.  For a rank-k matrix with z nonzero
+# entries, the largest of bit length b, a step of an orbit walk under it
+# costs k + z * (1 + b // 64) and a product with it on the right
+# k * (k + z * (1 + b // 64)), what each loops over.  At 100-250 ns a unit
+# on a 2-vCPU x86 machine it stops a loop within about 10-25 s, and even
+# taking successive powers it admits the e = 256 norm torus's rank-255
+# action (256 powers, 5 * 10^7 units).
 ORDER_WORK_CAP = 10 ** 8
 
 SUBGROUP_SELECTORS = ("full", "inertia", "wild_inertia")
@@ -54,24 +58,51 @@ SUBGROUP_SELECTORS = ("full", "inertia", "wild_inertia")
 class MatrixGroup:
     """A finite group of unimodular integer matrices, given by generators.
 
-    The full element list is computed once at construction (breadth-first
-    closure under multiplication) and cached; membership tests and
-    iteration read the cache, so concurrent reads are safe.
+    A group closed from several generators carries its full element list.
+    A cyclic group <g> carries instead the orbit of v = (1, ..., n) that
+    certified it (see `close_group`): the points g^j v for j < L are
+    distinct and g^L = I, so its order is L, and g^j is its only element
+    that can send v to g^j v.  Its sorted `elements` are multiplied out
+    only when first read.  Concurrent reads return equal results.
     """
 
     def __init__(self, dimension: int, generators: Sequence[IntegerMatrix],
                  elements: Sequence[IntegerMatrix]):
         self.dimension = dimension
         self.generators = tuple(generators)
-        self.elements = tuple(elements)
-        self._element_keys = frozenset(m.entries for m in elements)
+        self._elements: Optional[tuple[IntegerMatrix, ...]] = tuple(elements)
+        self._orbit: Optional[dict[tuple[int, ...], int]] = None
+
+    @classmethod
+    def _cyclic(cls, dimension: int, generators: Sequence[IntegerMatrix], g: IntegerMatrix,
+                orbit: dict[tuple[int, ...], int]) -> "MatrixGroup":
+        group = cls(dimension, generators, ())
+        group._elements, group._generator, group._orbit = None, g, orbit
+        return group
+
+    @property
+    def elements(self) -> tuple[IntegerMatrix, ...]:
+        if self._elements is None:
+            self._elements = _closure_walk((self._generator,), self.dimension)
+        return self._elements
+
+    @cached_property
+    def _element_keys(self) -> frozenset:
+        return frozenset(m.entries for m in self.elements)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.elements) if self._orbit is None else len(self._orbit)
 
     def __contains__(self, m: IntegerMatrix) -> bool:
-        return m.rows == m.cols == self.dimension and m.entries in self._element_keys
+        if not m.rows == m.cols == self.dimension:
+            return False
+        if self._orbit is None:
+            return m.entries in self._element_keys
+        j = self._orbit.get(m.apply(range(1, m.cols + 1)))
+        if j is None:
+            return False
+        return m.is_identity() if j == 0 else m == _power(self._generator, j, operator.matmul)
 
     def __iter__(self):
         return iter(self.elements)
@@ -80,40 +111,96 @@ class MatrixGroup:
         return f"MatrixGroup(dimension={self.dimension}, order={self.order})"
 
 
+def _bits(entries: Sequence[int]) -> int:
+    """Bit length of the largest |entry|."""
+    return max(map(abs, entries), default=0).bit_length()
+
+
 def _words(m: IntegerMatrix) -> int:
     """Machine words per entry of m: 1 + b // 64, b the bit length of its
     largest |entry|."""
-    return 1 + max(map(abs, m.entries), default=0).bit_length() // 64
+    return 1 + _bits(m.entries) // 64
 
 
-def close_group(generators: Sequence[IntegerMatrix], *,
-                dimension: Optional[int] = None) -> MatrixGroup:
-    """Multiplicative closure of a set of unimodular matrices.
+class _Undecided(Exception):
+    """An orbit walk or its power check stopped before deciding the order."""
 
-    The closure of a finite set of invertible matrices, if finite, is a
-    group (powers of each element cycle back to the identity).  Elements
-    are returned in a deterministic canonical order.
 
-    Raises NotUnimodular for a generator with determinant other than
-    +/-1, and ClosureCapExceeded past DEFAULT_CLOSURE_CAP elements or
-    once the elements would hold more than CLOSURE_ENTRY_CAP words.
+def _word_sized(m: IntegerMatrix) -> IntegerMatrix:
+    """m, if each entry fits in 63 bits; raises _Undecided otherwise."""
+    if _bits(m.entries) > 63:
+        raise _Undecided
+    return m
+
+
+def _sparse_rows(m: IntegerMatrix) -> list[list[tuple[int, int]]]:
+    """Each row of m as the (column, entry) pairs of its nonzero entries."""
+    return [[(j, x) for j, x in enumerate(m.row(i)) if x] for i in range(m.rows)]
+
+
+def _apply_sparse(rows: list[list[tuple[int, int]]], vec: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sum(x * vec[j] for j, x in row) for row in rows)
+
+
+def _power(m: IntegerMatrix, exponent: int, mul) -> IntegerMatrix:
+    """m^exponent for exponent >= 1 by square-and-multiply: fewer than
+    2 * exponent.bit_length() products."""
+    result = None
+    while True:
+        if exponent & 1:
+            result = m if result is None else mul(result, m)
+        exponent >>= 1
+        if not exponent:
+            return result
+        m = mul(m, m)
+
+
+def _orbit_order(step, start: tuple[int, ...], limit: int,
+                 power_is_identity) -> Optional[dict[tuple[int, ...], int]]:
+    """The orbit of `start` under a map of finite order, or None if undecided.
+
+    Walks start, step(start), ... until the walk first comes back to
+    `start`, after L steps say, and power_is_identity(L) confirms that the
+    L-th power of the map is the identity.  The map then has order exactly
+    L, since the orbit has L distinct points, and the orbit is returned as
+    a dict from each point to its exponent.  Returns None when the orbit
+    would pass `limit` points, the walk meets an entry past 63 bits or a
+    point it has seen other than `start` (the map is not injective), the
+    power is not the identity, or `step` or `power_is_identity` raise
+    _Undecided.
     """
-    gens = tuple(generators)
-    if dimension is None:
-        if not gens:
-            raise ValueError("dimension is required for an empty generating set")
-        dimension = gens[0].rows
-    for g in gens:
-        if g.rows != dimension or g.cols != dimension:
-            raise ValueError("generators must be square matrices of the stated dimension")
-        det = g.det()
-        if det not in (1, -1):
-            raise NotUnimodular(f"generator determinant {det} is not a unit")
+    orbit = {start: 0}
+    try:
+        point = step(start)
+        while point != start:
+            if point in orbit or len(orbit) >= limit or _bits(point) > 63:
+                return None
+            orbit[point] = len(orbit)
+            point = step(point)
+        return orbit if power_is_identity(len(orbit)) else None
+    except _Undecided:
+        return None
 
+
+def _cyclic_orbit(g: IntegerMatrix) -> Optional[dict[tuple[int, ...], int]]:
+    """The orbit of (1, ..., n) under g of finite order, or None when the
+    walk cannot decide: an entry of g, of an orbit point or of a checked
+    power passes 63 bits, or <g> would pass the closure's element or word
+    cap (L elements of rank n hold L * n^2 words)."""
+    n = g.rows
+    rows = _sparse_rows(g)
+    ident = IntegerMatrix.identity(n)
+    return _orbit_order(
+        lambda v: _apply_sparse(rows, v), tuple(range(1, n + 1)),
+        min(DEFAULT_CLOSURE_CAP, CLOSURE_ENTRY_CAP // n ** 2),
+        lambda order: _power(_word_sized(g), order, lambda a, b: _word_sized(a @ b)) == ident)
+
+
+def _closure_walk(steps: Sequence[IntegerMatrix],
+                  dimension: int) -> tuple[IntegerMatrix, ...]:
+    """Breadth-first closure of distinct non-identity unimodular matrices,
+    sorted by entries; raises ClosureCapExceeded at the caps."""
     ident = IntegerMatrix.identity(dimension)
-    # Breadth-first over one queue; repeats and the identity add nothing
-    # to the closure.
-    steps = [g for g in dict.fromkeys(gens) if g != ident]
     queue = [ident]
     seen = {ident.entries}
     words = dimension ** 2
@@ -128,8 +215,52 @@ def close_group(generators: Sequence[IntegerMatrix], *,
                     f"closure of rank {dimension} exceeded {len(queue)} elements")
             seen.add(y.entries)
             queue.append(y)
-    elements = tuple(sorted(queue, key=lambda m: m.entries))
-    return MatrixGroup(dimension, gens, elements)
+    return tuple(sorted(queue, key=lambda m: m.entries))
+
+
+def close_group(generators: Sequence[IntegerMatrix], *,
+                dimension: Optional[int] = None) -> MatrixGroup:
+    """Multiplicative closure of a set of unimodular matrices.
+
+    The closure of a finite set of invertible matrices, if finite, is a
+    group (powers of each element cycle back to the identity).  Elements
+    are returned in a deterministic canonical order.
+
+    When every distinct non-identity generator lies in <g> for the first
+    one, g, the group is cyclic and no element is multiplied out: g's
+    order is the length L of the orbit of one vector, confirmed by g^L = I
+    (which also proves det g = +/-1), and membership is one orbit lookup
+    and one power.  Any other case, or a walk that cannot decide, takes
+    the breadth-first closure.
+
+    Raises NotUnimodular for a generator with determinant other than
+    +/-1, and ClosureCapExceeded past DEFAULT_CLOSURE_CAP elements or
+    once the elements would hold more than CLOSURE_ENTRY_CAP words.
+    """
+    gens = tuple(generators)
+    if dimension is None:
+        if not gens:
+            raise ValueError("dimension is required for an empty generating set")
+        dimension = gens[0].rows
+    for g in gens:
+        if g.rows != dimension or g.cols != dimension:
+            raise ValueError("generators must be square matrices of the stated dimension")
+    ident = IntegerMatrix.identity(dimension)
+    # Repeats and the identity add nothing to the group.
+    steps = [g for g in dict.fromkeys(gens) if g != ident]
+    if steps:
+        orbit = _cyclic_orbit(steps[0])
+        if orbit is not None:
+            group = MatrixGroup._cyclic(dimension, gens, steps[0], orbit)
+            # Dimino's first rule: a generator already in <g> adds nothing.
+            if all(h in group for h in steps[1:]):
+                return group
+
+    for g in gens:
+        det = g.det()
+        if det not in (1, -1):
+            raise NotUnimodular(f"generator determinant {det} is not a unit")
+    return MatrixGroup(dimension, gens, _closure_walk(steps, dimension))
 
 
 class GaloisLatticeModule:
@@ -144,7 +275,10 @@ class GaloisLatticeModule:
     on first read, each distinct generator tuple at most once per module.
     The constructor closes the full group (this rejects an infinite
     action) and the inertia group only when a Frobenius is given or a
-    wild generator is not itself marked as inertia.
+    wild generator is not itself marked as inertia.  A cyclic group, such
+    as tame inertia acting through one generator, is validated by one
+    orbit walk and one power check, without its elements (see
+    `close_group`).
     """
 
     def __init__(self, lattice_rank: int, generators: Sequence[IntegerMatrix],
@@ -303,6 +437,10 @@ def endomorphism_order(group: FgAbelianGroup, matrix: IntegerMatrix, *,
                        cap: int = DEFAULT_CLOSURE_CAP) -> int:
     """Multiplicative order of `matrix` as an endomorphism of the group.
 
+    The order is first read off the orbit of one reduced vector, as in
+    `close_group`, each step and product charged against ORDER_WORK_CAP;
+    a walk that cannot decide falls back to taking successive powers.
+
     Raises InfiniteOrder when no power within `cap` acts as the identity
     (in particular when the matrix is not invertible on the group), or
     once the powers would cost more than ORDER_WORK_CAP.
@@ -310,19 +448,47 @@ def endomorphism_order(group: FgAbelianGroup, matrix: IntegerMatrix, *,
     check_presented_endomorphism(group, matrix)
     k = group.num_generators
     ident = IntegerMatrix.identity(k)  # reduced, as every d_i >= 2
-    acc = _reduce_endo(group, matrix)
+    reduced = _reduce_endo(group, matrix)
+    rows = _sparse_rows(reduced)
+    step_cost = k + sum(map(len, rows)) * _words(reduced)
     work = 0
+
+    def charge(units: int) -> None:
+        nonlocal work
+        work += units
+        if work > ORDER_WORK_CAP:
+            raise _Undecided
+
+    def step(vec):
+        charge(step_cost)
+        return group.reduce(_apply_sparse(rows, vec))
+
+    def mul(a, b):
+        charge(_product_work(a))
+        return _word_sized(_reduce_endo(group, a @ b))
+
+    orbit = _orbit_order(step, group.reduce(range(1, k + 1)), cap,
+                         lambda order: _power(reduced, order, mul) == ident)
+    if orbit is not None:
+        return len(orbit)
+
+    acc, work = reduced, 0
     for m in range(1, cap + 1):
         if acc == ident:
             return m
-        # What acc @ matrix loops over: each entry of acc, and k
-        # multiply-adds for each nonzero one.
-        work += k * (k + (k * k - acc.entries.count(0)) * _words(acc))
+        work += _product_work(acc)
         if work > ORDER_WORK_CAP:
             raise InfiniteOrder(f"no power up to {m} of the rank-{k} matrix acts as the "
                                 f"identity within {ORDER_WORK_CAP} work units")
         acc = _reduce_endo(group, acc @ matrix)
     raise InfiniteOrder(f"no power up to {cap} acts as the identity")
+
+
+def _product_work(a: IntegerMatrix) -> int:
+    """What a @ b loops over for square a of rank k: each entry of a, and
+    k multiply-adds for each nonzero one."""
+    k = a.rows
+    return k * (k + (k * k - a.entries.count(0)) * _words(a))
 
 
 def cyclic_h1(group: FgAbelianGroup, frobenius: IntegerMatrix) -> FgAbelianGroup:

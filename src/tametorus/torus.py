@@ -24,8 +24,9 @@ __all__ = [
     "h1_frobenius",
 ]
 
-# component_group closes the rank e-1 inertia action: e matrices of
-# (e-1)^2 entries each, so memory grows as e^3.
+# The rank e-1 inertia action is validated by an orbit walk of e vectors
+# and about 2 log2(e) products of (e-1) x (e-1) matrices, so memory grows
+# as e^2; the cap is the largest lattice a JSON document may name.
 NORM_TORUS_DEGREE_CAP = DIMENSION_CAP
 
 

@@ -12,8 +12,13 @@ import itertools
 import math
 import random
 
-from tametorus.errors import InfiniteOrder, NoStabilization
-from tametorus.galois import GaloisLatticeModule
+from tametorus.errors import ClosureCapExceeded, InfiniteOrder, NoStabilization, NotUnimodular
+from tametorus.galois import (
+    CLOSURE_ENTRY_CAP,
+    DEFAULT_CLOSURE_CAP,
+    GaloisLatticeModule,
+    MatrixGroup,
+)
 from tametorus.lattice import (
     FgAbelianGroup,
     IntegerMatrix,
@@ -108,6 +113,85 @@ def random_finite_action_module(rng: random.Random, rank: int) -> GaloisLatticeM
     inertia = tuple(sorted(rng.sample(indices, rng.randrange(0, n_gens + 1))))
     wild = tuple(sorted(rng.sample(inertia, rng.randrange(0, len(inertia) + 1)))) if inertia else ()
     return GaloisLatticeModule(rank, gens, inertia=inertia, wild_inertia=wild)
+
+
+def conjugated_cycles(rng: random.Random, cycles, scale: int = 1) -> IntegerMatrix:
+    """W P W^-1 for P the permutation matrix with the given cycle lengths,
+    so of the same order as P.  W = I + x y^T with y^T x = 0, whose inverse
+    is I - x y^T; x and y have entries of size 1 to 3, x times `scale`, so
+    the result is dense."""
+    n = sum(cycles)
+    image = []  # P sends basis vector j to basis vector image[j]
+    for c in cycles:
+        image += [len(image) + (i + 1) % c for i in range(c)]
+    preimage = [0] * n
+    for j, i in enumerate(image):
+        preimage[i] = j
+    while True:
+        unit = [rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(n - 1)] + [1]
+        y = [rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(n - 1)]
+        y.append(-sum(a * b for a, b in zip(y, unit)))
+        if y[-1]:
+            break
+    x = [scale * a for a in unit]
+    c = sum(y[i] * x[preimage[i]] for i in range(n))  # y^T P x
+    return IntegerMatrix.from_rows(
+        [[(i == image[j]) + x[i] * y[image[j]] - x[preimage[i]] * y[j] - c * x[i] * y[j]
+          for j in range(n)] for i in range(n)], cols=n)
+
+
+def closure_by_products(generators, *, dimension=None) -> MatrixGroup:
+    """Breadth-first closure multiplying out every element (reference):
+    every generator's determinant, then each element times each distinct
+    non-identity generator, under `close_group`'s caps and messages."""
+    gens = tuple(generators)
+    if dimension is None:
+        if not gens:
+            raise ValueError("dimension is required for an empty generating set")
+        dimension = gens[0].rows
+    for g in gens:
+        if g.rows != dimension or g.cols != dimension:
+            raise ValueError("generators must be square matrices of the stated dimension")
+        det = g.det()
+        if det not in (1, -1):
+            raise NotUnimodular(f"generator determinant {det} is not a unit")
+
+    ident = IntegerMatrix.identity(dimension)
+    steps = [g for g in dict.fromkeys(gens) if g != ident]
+    queue = [ident]
+    seen = {ident.entries}
+    words = dimension ** 2
+    for x in queue:
+        for g in steps:
+            y = x @ g
+            if y.entries in seen:
+                continue
+            words += dimension ** 2 * (1 + max(map(abs, y.entries), default=0).bit_length() // 64)
+            if len(queue) >= DEFAULT_CLOSURE_CAP or words > CLOSURE_ENTRY_CAP:
+                raise ClosureCapExceeded(
+                    f"closure of rank {dimension} exceeded {len(queue)} elements")
+            seen.add(y.entries)
+            queue.append(y)
+    elements = tuple(sorted(queue, key=lambda m: m.entries))
+    return MatrixGroup(dimension, gens, elements)
+
+
+def order_by_powers(group: FgAbelianGroup, matrix: IntegerMatrix, cap: int):
+    """Least m <= cap with matrix^m acting as the identity on the group,
+    or None (reference): successive powers, torsion rows reduced."""
+    k, d = group.num_generators, group.invariant_factors
+
+    def reduce(m: IntegerMatrix) -> IntegerMatrix:
+        return IntegerMatrix.from_rows(
+            [[x % d[i] for x in row] if i < len(d) else row for i, row in enumerate(m.to_rows())],
+            cols=k)
+
+    ident, power = IntegerMatrix.identity(k), reduce(matrix)
+    for m in range(1, cap + 1):
+        if power == ident:
+            return m
+        power = reduce(power @ matrix)
+    return None
 
 
 def random_order_bounded_action(rng: random.Random):

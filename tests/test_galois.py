@@ -27,11 +27,15 @@ from tametorus.lattice import (
 )
 
 from helpers import (
+    closure_by_products,
+    conjugated_cycles,
     h1_by_trace_kernel,
     is_endomorphism_by_conditions,
+    order_by_powers,
     random_endomorphism_candidate,
     random_finite_action_module,
     random_order_bounded_action,
+    random_presented_endomorphism,
     random_signed_permutation,
     random_unimodular,
 )
@@ -44,6 +48,26 @@ def mat(rows):
 SWAP = mat([[0, 1], [1, 0]])
 ORDER3 = mat([[-1, -1], [1, 0]])  # cube is the identity
 NEG1 = mat([[-1]])
+
+
+def _permutation(cycles) -> IntegerMatrix:
+    image = []
+    for c in cycles:
+        image += [len(image) + (i + 1) % c for i in range(c)]
+    n = len(image)
+    return mat([[int(image[j] == i) for j in range(n)] for i in range(n)])
+
+
+# One permutation of rank 30 with cycles 3, 4, 5, 7, 11 (order 4620).
+_ORDER_4620 = _permutation((3, 4, 5, 7, 11))
+
+
+def _count_products(monkeypatch) -> list:
+    products = []
+    matmul = IntegerMatrix.__matmul__
+    monkeypatch.setattr(IntegerMatrix, "__matmul__",
+                        lambda a, b: products.append(1) or matmul(a, b))
+    return products
 
 
 class TestCloseGroup:
@@ -72,24 +96,45 @@ class TestCloseGroup:
         inv = unimodular_inverse(ORDER3)
         assert inv in grp
 
-    def test_each_distinct_generator_multiplies_each_element_once(self, monkeypatch):
-        # One permutation of rank 30 with cycles 3, 4, 5, 7, 11 (order 4620).
-        image = []
-        for c in (3, 4, 5, 7, 11):
-            image += [len(image) + (i + 1) % c for i in range(c)]
-        g = mat([[int(image[j] == i) for j in range(30)] for i in range(30)])
-        products = []
-        matmul = IntegerMatrix.__matmul__
-        monkeypatch.setattr(IntegerMatrix, "__matmul__",
-                            lambda a, b: products.append(1) or matmul(a, b))
-        groups = []
+    def test_repeated_generators_cost_one_orbit_walk(self, monkeypatch):
+        g = _ORDER_4620
+        products = _count_products(monkeypatch)
+        groups, counts = [], []
         for gens in ([g], [g] * 4, [g, IntegerMatrix.identity(30)]):
             products.clear()
             groups.append(close_group(gens))
-            assert len(products) == 4620
+            counts.append(len(products))
             assert groups[-1].generators == tuple(gens)
+            assert groups[-1].order == 4620
+        assert counts[0] == counts[1] == counts[2] <= 2 * (4620).bit_length()
         assert groups[0].elements == groups[1].elements == groups[2].elements
-        assert groups[0].order == 4620
+
+    def test_generators_inside_the_first_ones_group_are_dropped(self, monkeypatch):
+        # Dimino's first rule: g, g^2, ..., g^8 close like g alone.
+        g = _ORDER_4620
+        gens = [g]
+        for _ in range(7):
+            gens.append(gens[-1] @ g)
+        products = _count_products(monkeypatch)
+        group = close_group(gens)
+        bound = 2 * (4620).bit_length() + sum(2 * j.bit_length() for j in range(2, 9))
+        assert len(products) <= bound
+        assert group.generators == tuple(gens)
+        assert group.order == 4620
+        assert group.elements == closure_by_products([g]).elements
+
+    def test_a_generator_outside_takes_the_breadth_first_walk(self, monkeypatch):
+        cycle = mat([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+        flip = mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+        products = _count_products(monkeypatch)
+        reference = closure_by_products([cycle, flip])
+        by_products = len(products)
+        products.clear()
+        group = close_group([cycle, flip])
+        # Only the orbit walk's power check of the 3-cycle comes on top.
+        assert by_products <= len(products) <= by_products + 2 * (3).bit_length()
+        assert group.order == 6
+        assert group.elements == reference.elements
 
     def test_cap_counts_words_of_large_entries(self):
         # A shear whose entries start past one machine word: the word budget
@@ -100,6 +145,87 @@ class TestCloseGroup:
             close_group([shear])
         assert time.perf_counter() - start < 1.0
         assert int(re.search(r"(\d+) elements", str(info.value)).group(1)) < 10_000
+
+
+class TestCyclicClosureAgainstProducts:
+    """One generator, read off an orbit, against the closure that
+    multiplies out every element."""
+
+    @staticmethod
+    def assert_same_group(g, rng):
+        ref = closure_by_products([g])
+        got = close_group([g])
+        assert got.order == ref.order
+        members = list(ref.elements)
+        assert all(m in got for m in members)
+        others = [random_signed_permutation(rng, g.rows) for _ in range(10)]
+        others += [m.scale(2) for m in members[:3]] + [IntegerMatrix.identity(g.rows + 1)]
+        for m in others:
+            assert (m in got) == (m in ref)
+        assert got.elements == ref.elements
+        return got
+
+    def test_signed_permutations(self):
+        rng = random.Random(20_2611)
+        for _ in range(40):
+            n = rng.randrange(1, 9)
+            q = random_unimodular(rng, n, steps=4)
+            self.assert_same_group(q @ random_signed_permutation(rng, n) @ unimodular_inverse(q),
+                                   rng)
+
+    def test_order_bounded_actions_on_free_groups(self):
+        rng = random.Random(11_2611)
+        drawn = 0
+        while drawn < 40:
+            action = random_order_bounded_action(rng)
+            if action is None or action[0].invariant_factors:
+                continue
+            drawn += 1
+            self.assert_same_group(action[1], rng)
+
+    def test_dense_conjugates(self, monkeypatch):
+        rng = random.Random(5_2611)
+        dets = []
+        det = IntegerMatrix.det
+        monkeypatch.setattr(IntegerMatrix, "det", lambda m: dets.append(1) or det(m))
+        for cycles in ([2, 3], [4, 4, 1], [5, 2], [6]):
+            g = conjugated_cycles(rng, cycles)
+            dets.clear()
+            self.assert_same_group(g, rng)
+            assert len(dets) == 1  # the reference's; the orbit walk needs none
+
+    def test_orbit_entries_past_63_bits_fall_back(self, monkeypatch):
+        g = conjugated_cycles(random.Random(1), [2, 3, 4], scale=2 ** 26)
+        orbit, point = [], tuple(range(1, 10))
+        for _ in range(12):
+            point = g.apply(point)
+            orbit.extend(point)
+        assert max(map(abs, g.entries)).bit_length() <= 63
+        assert max(map(abs, orbit)).bit_length() > 63
+        dets = []
+        det = IntegerMatrix.det
+        monkeypatch.setattr(IntegerMatrix, "det", lambda m: dets.append(1) or det(m))
+        assert self.assert_same_group(g, random.Random(2)).order == 12
+        assert len(dets) == 2  # the reference's and the fallback closure's
+
+    def test_non_unit_determinant_stops_within_64_steps(self, monkeypatch):
+        steps = []
+        apply_sparse = galois._apply_sparse
+        monkeypatch.setattr(galois, "_apply_sparse",
+                            lambda rows, v: steps.append(1) or apply_sparse(rows, v))
+        with pytest.raises(NotUnimodular) as info:
+            close_group([mat([[2]])])
+        assert len(steps) <= 64
+        assert str(info.value) == "generator determinant 2 is not a unit"
+
+    def test_shear_detail_unchanged(self):
+        shear = mat([[1, 1], [0, 1]])
+        details = []
+        for closure in (closure_by_products, close_group):
+            with pytest.raises(ClosureCapExceeded) as info:
+                closure([shear])
+            details.append(str(info.value))
+        assert details[0] == details[1] == "closure of rank 2 exceeded 10000 elements"
 
 
 class TestModuleValidation:
@@ -396,3 +522,37 @@ class TestCyclicH1:
             sigma = norm_torus_spec(m).characters.generators[0]
             got = cyclic_h1(FgAbelianGroup.free(m - 1), sigma)
             assert got == FgAbelianGroup(0, (m,))
+
+
+class TestEndomorphismOrder:
+    def test_agrees_with_successive_powers(self):
+        rng = random.Random(7_2611)
+        orders = set()
+        for i in range(600):
+            draw = random_order_bounded_action if i % 2 else random_presented_endomorphism
+            drawn = draw(rng)
+            if drawn is None:
+                continue
+            group, f = drawn
+            expected = order_by_powers(group, f, 12)
+            try:
+                got = endomorphism_order(group, f, cap=12)
+            except InfiniteOrder:
+                got = None
+            assert got == expected, (group, f)
+            orders.add(got)
+        assert None in orders and {1, 2, 3, 4, 6} <= orders
+
+    def test_dense_rank_128_conjugate_of_a_128_cycle(self):
+        # Every entry nonzero, so taking successive powers stops after 48 of
+        # them at ORDER_WORK_CAP; the orbit walk answers with 7 squarings.
+        f = conjugated_cycles(random.Random(0), [128])
+        assert 0 not in f.entries
+        assert endomorphism_order(FgAbelianGroup.free(128), f) == 128
+
+    def test_a_walk_that_cannot_decide_falls_back_unchanged(self):
+        with pytest.raises(InfiniteOrder) as info:
+            endomorphism_order(FgAbelianGroup.free(2), mat([[1, 1], [0, 1]]))
+        assert str(info.value) == "no power up to 10000 acts as the identity"
+        with pytest.raises(InfiniteOrder):
+            endomorphism_order(FgAbelianGroup.cyclic(4), mat([[2]]))

@@ -50,6 +50,27 @@ class TestNormTorusSpec:
             sigma = norm_torus_spec(e).characters.generators[0]
             assert close_group([sigma]).order == e
 
+    def test_validated_without_multiplying_out_the_group(self, monkeypatch):
+        # The orbit walk's power check is the only product, and sigma^e = I
+        # stands in for the determinant.
+        counts = {"products": 0, "det": 0}
+        matmul, det = IntegerMatrix.__matmul__, IntegerMatrix.det
+
+        def counting(key, fn):
+            def wrapped(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(IntegerMatrix, "__matmul__", counting("products", matmul))
+        monkeypatch.setattr(IntegerMatrix, "det", counting("det", det))
+        for e in (36, 128, 256):
+            counts.update(products=0, det=0)
+            spec = norm_torus_spec(e)
+            assert counts["products"] <= 2 * e.bit_length()
+            assert counts["det"] == 0
+            assert spec.characters.full_group.order == e
+
     def test_rejects_nonpositive_degree(self):
         with pytest.raises(ValueError):
             norm_torus_spec(0)
