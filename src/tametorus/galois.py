@@ -43,13 +43,12 @@ DEFAULT_CLOSURE_CAP = 10_000
 # bit length b costing n^2 * (1 + b // 64): the e = 256 norm torus's own
 # closure, 256 elements of rank 255.
 CLOSURE_ENTRY_CAP = DIMENSION_CAP * (DIMENSION_CAP - 1) ** 2
-# Work endomorphism_order may spend.  For a rank-k matrix with z nonzero
-# entries, the largest of bit length b, a step of an orbit walk under it
-# costs k + z * (1 + b // 64) and a product with it on the right
-# k * (k + z * (1 + b // 64)), what each loops over.  At 100-250 ns a unit
-# on a 2-vCPU x86 machine it stops a loop within about 10-25 s, and even
-# taking successive powers it admits the e = 256 norm torus's rank-255
-# action (256 powers, 5 * 10^7 units).
+# Work one endomorphism_order call may spend.  For a rank-k matrix with z
+# nonzero entries of w words (1 + b // 64, b the largest bit length), a
+# walk step under it from a point of w' words costs k + z * max(w, w'),
+# and a product with a w'-word matrix on the right k * (k + z * max(w, w')):
+# a multiply-add takes about max(w, w') single-word ones (up to 100 words),
+# so at 100-250 ns a unit on a 2-vCPU x86 machine a call stops in 10-25 s.
 ORDER_WORK_CAP = 10 ** 8
 
 SUBGROUP_SELECTORS = ("full", "inertia", "wild_inertia")
@@ -116,14 +115,14 @@ def _bits(entries: Sequence[int]) -> int:
     return max(map(abs, entries), default=0).bit_length()
 
 
-def _words(m: IntegerMatrix) -> int:
-    """Machine words per entry of m: 1 + b // 64, b the bit length of its
+def _words(entries: Sequence[int]) -> int:
+    """Machine words per entry: 1 + b // 64, b the bit length of the
     largest |entry|."""
-    return 1 + _bits(m.entries) // 64
+    return 1 + _bits(entries) // 64
 
 
 class _Undecided(Exception):
-    """An orbit walk or its power check stopped before deciding the order."""
+    """A one-generator walk met an entry past 63 bits, or g^L != I."""
 
 
 def _word_sized(m: IntegerMatrix) -> IntegerMatrix:
@@ -155,45 +154,40 @@ def _power(m: IntegerMatrix, exponent: int, mul) -> IntegerMatrix:
         m = mul(m, m)
 
 
-def _orbit_order(step, start: tuple[int, ...], limit: int,
-                 power_is_identity) -> Optional[dict[tuple[int, ...], int]]:
-    """The orbit of `start` under a map of finite order, or None if undecided.
-
-    Walks start, step(start), ... until the walk first comes back to
-    `start`, after L steps say, and power_is_identity(L) confirms that the
-    L-th power of the map is the identity.  The map then has order exactly
-    L, since the orbit has L distinct points, and the orbit is returned as
-    a dict from each point to its exponent.  Returns None when the orbit
-    would pass `limit` points, the walk meets an entry past 63 bits or a
-    point it has seen other than `start` (the map is not injective), the
-    power is not the identity, or `step` or `power_is_identity` raise
-    _Undecided.
-    """
+def _orbit(step, start: tuple[int, ...], limit: int) -> Optional[dict[tuple[int, ...], int]]:
+    """The orbit of `start` as a dict from each point to its exponent,
+    walked by step(point, exponent) until `start` first comes back; None
+    when no power up to `limit` of the map fixes `start`: the orbit would
+    pass `limit` points, or it meets a point twice, so the map is not
+    injective and never brings `start` back."""
     orbit = {start: 0}
-    try:
-        point = step(start)
-        while point != start:
-            if point in orbit or len(orbit) >= limit or _bits(point) > 63:
-                return None
-            orbit[point] = len(orbit)
-            point = step(point)
-        return orbit if power_is_identity(len(orbit)) else None
-    except _Undecided:
-        return None
+    point = step(start, 0)
+    while point != start:
+        if point in orbit or len(orbit) >= limit:
+            return None
+        orbit[point] = len(orbit)
+        point = step(point, orbit[point])
+    return orbit
 
 
-def _cyclic_orbit(g: IntegerMatrix) -> Optional[dict[tuple[int, ...], int]]:
-    """The orbit of (1, ..., n) under g of finite order, or None when the
-    walk cannot decide: an entry of g, of an orbit point or of a checked
-    power passes 63 bits, or <g> would pass the closure's element or word
-    cap (L elements of rank n hold L * n^2 words)."""
-    n = g.rows
+def _cyclic_orbit(g: IntegerMatrix, limit: int) -> Optional[dict[tuple[int, ...], int]]:
+    """The orbit of (1, ..., n) under g, whose order is then its length L,
+    or None when no g^j with 0 < j <= limit fixes (1, ..., n).  Raises
+    _Undecided when an entry of g, of an orbit point or of a checked power
+    passes 63 bits, or when g^L != I."""
     rows = _sparse_rows(g)
-    ident = IntegerMatrix.identity(n)
-    return _orbit_order(
-        lambda v: _apply_sparse(rows, v), tuple(range(1, n + 1)),
-        min(DEFAULT_CLOSURE_CAP, CLOSURE_ENTRY_CAP // n ** 2),
-        lambda order: _power(_word_sized(g), order, lambda a, b: _word_sized(a @ b)) == ident)
+
+    def step(v, _):
+        point = _apply_sparse(rows, v)
+        if _bits(point) > 63:
+            raise _Undecided
+        return point
+
+    orbit = _orbit(step, tuple(range(1, g.rows + 1)), limit)
+    if orbit is not None and not _power(_word_sized(g), len(orbit),
+                                        lambda a, b: _word_sized(a @ b)).is_identity():
+        raise _Undecided
+    return orbit
 
 
 def _closure_walk(steps: Sequence[IntegerMatrix],
@@ -209,7 +203,7 @@ def _closure_walk(steps: Sequence[IntegerMatrix],
             y = x @ g
             if y.entries in seen:
                 continue
-            words += dimension ** 2 * _words(y)
+            words += dimension ** 2 * _words(y.entries)
             if len(queue) >= DEFAULT_CLOSURE_CAP or words > CLOSURE_ENTRY_CAP:
                 raise ClosureCapExceeded(
                     f"closure of rank {dimension} exceeded {len(queue)} elements")
@@ -230,7 +224,9 @@ def close_group(generators: Sequence[IntegerMatrix], *,
     one, g, the group is cyclic and no element is multiplied out: g's
     order is the length L of the orbit of one vector, confirmed by g^L = I
     (which also proves det g = +/-1), and membership is one orbit lookup
-    and one power.  Any other case, or a walk that cannot decide, takes
+    and one power.  An orbit past the closure's caps is final too: after
+    the determinant check, ClosureCapExceeded is raised with no element
+    multiplied out.  Any other case, or a walk that cannot decide, takes
     the breadth-first closure.
 
     Raises NotUnimodular for a generator with determinant other than
@@ -248,18 +244,27 @@ def close_group(generators: Sequence[IntegerMatrix], *,
     ident = IntegerMatrix.identity(dimension)
     # Repeats and the identity add nothing to the group.
     steps = [g for g in dict.fromkeys(gens) if g != ident]
+    orbit: Optional[dict] = {}  # empty: no orbit decided the group
     if steps:
-        orbit = _cyclic_orbit(steps[0])
-        if orbit is not None:
-            group = MatrixGroup._cyclic(dimension, gens, steps[0], orbit)
-            # Dimino's first rule: a generator already in <g> adds nothing.
-            if all(h in group for h in steps[1:]):
-                return group
+        limit = min(DEFAULT_CLOSURE_CAP, CLOSURE_ENTRY_CAP // dimension ** 2)  # the closure's caps
+        try:
+            orbit = _cyclic_orbit(steps[0], limit)
+        except _Undecided:
+            pass
+    if orbit:
+        group = MatrixGroup._cyclic(dimension, gens, steps[0], orbit)
+        # Dimino's first rule: a generator already in <g> adds nothing.
+        if all(h in group for h in steps[1:]):
+            return group
 
     for g in gens:
         det = g.det()
         if det not in (1, -1):
             raise NotUnimodular(f"generator determinant {det} is not a unit")
+    if orbit is None:
+        # g^0, ..., g^limit are distinct (a point met twice makes det g = 0),
+        # so the closure would stop at a cap, after `limit` word-sized elements.
+        raise ClosureCapExceeded(f"closure of rank {dimension} exceeded {limit} elements")
     return MatrixGroup(dimension, gens, _closure_walk(steps, dimension))
 
 
@@ -437,58 +442,52 @@ def endomorphism_order(group: FgAbelianGroup, matrix: IntegerMatrix, *,
                        cap: int = DEFAULT_CLOSURE_CAP) -> int:
     """Multiplicative order of `matrix` as an endomorphism of the group.
 
-    The order is first read off the orbit of one reduced vector, as in
-    `close_group`, each step and product charged against ORDER_WORK_CAP;
-    a walk that cannot decide falls back to taking successive powers.
+    Read off orbits of reduced vectors in rounds, each step and product
+    charged against one ORDER_WORK_CAP budget.  With h = F^order, a round
+    walks a vector that h moves until it comes back, after L steps, and
+    takes h^L; as F^n = I only for multiples n of order * L, the order is
+    exact once h = I.  The vectors are (1, ..., k), then the basis; h^L
+    fixes each one walked, so h = I once all are fixed.
 
     Raises InfiniteOrder when no power within `cap` acts as the identity
     (in particular when the matrix is not invertible on the group), or
-    once the powers would cost more than ORDER_WORK_CAP.
+    once deciding the order would cost more than ORDER_WORK_CAP.
     """
     check_presented_endomorphism(group, matrix)
     k = group.num_generators
-    ident = IntegerMatrix.identity(k)  # reduced, as every d_i >= 2
-    reduced = _reduce_endo(group, matrix)
-    rows = _sparse_rows(reduced)
-    step_cost = k + sum(map(len, rows)) * _words(reduced)
-    work = 0
+    h, order, work = _reduce_endo(group, matrix), 1, 0  # I is reduced, as every d_i >= 2
+    starts = iter((group.reduce(range(1, k + 1)), *map(IntegerMatrix.identity(k).col, range(k))))
 
-    def charge(units: int) -> None:
+    def charge(units: int, proved: int) -> None:  # no F^n is I for 0 < n <= proved
         nonlocal work
         work += units
         if work > ORDER_WORK_CAP:
-            raise _Undecided
-
-    def step(vec):
-        charge(step_cost)
-        return group.reduce(_apply_sparse(rows, vec))
-
-    def mul(a, b):
-        charge(_product_work(a))
-        return _word_sized(_reduce_endo(group, a @ b))
-
-    orbit = _orbit_order(step, group.reduce(range(1, k + 1)), cap,
-                         lambda order: _power(reduced, order, mul) == ident)
-    if orbit is not None:
-        return len(orbit)
-
-    acc, work = reduced, 0
-    for m in range(1, cap + 1):
-        if acc == ident:
-            return m
-        work += _product_work(acc)
-        if work > ORDER_WORK_CAP:
-            raise InfiniteOrder(f"no power up to {m} of the rank-{k} matrix acts as the "
+            raise InfiniteOrder(f"no power up to {proved} of the rank-{k} matrix acts as the "
                                 f"identity within {ORDER_WORK_CAP} work units")
-        acc = _reduce_endo(group, acc @ matrix)
-    raise InfiniteOrder(f"no power up to {cap} acts as the identity")
 
+    while not h.is_identity():
+        rows = _sparse_rows(h)
+        nonzero, words = sum(map(len, rows)), _words(h.entries)
 
-def _product_work(a: IntegerMatrix) -> int:
-    """What a @ b loops over for square a of rank k: each entry of a, and
-    k multiply-adds for each nonzero one."""
-    k = a.rows
-    return k * (k + (k * k - a.entries.count(0)) * _words(a))
+        def step(vec, j):  # h != I, and no h^i with 0 < i <= j fixes the start
+            charge(k + nonzero * max(words, _words(vec)), order * max(j, 1))
+            return group.reduce(_apply_sparse(rows, vec))
+
+        for start in starts:  # h moves one of them, as h != I
+            orbit = _orbit(step, start, cap // order)
+            if orbit is None:
+                raise InfiniteOrder(f"no power up to {cap} acts as the identity")
+            if len(orbit) > 1:
+                break
+        period = len(orbit)
+
+        def mul(a, b):  # each entry of a, and k multiply-adds for each nonzero one
+            units = (k * k - a.entries.count(0)) * max(_words(a.entries), _words(b.entries))
+            charge(k * (k + units), order * period - 1)
+            return _reduce_endo(group, a @ b)
+        h = _power(h, period, mul)
+        order *= period
+    return order
 
 
 def cyclic_h1(group: FgAbelianGroup, frobenius: IntegerMatrix) -> FgAbelianGroup:
@@ -503,8 +502,9 @@ def cyclic_h1(group: FgAbelianGroup, frobenius: IntegerMatrix) -> FgAbelianGroup
     in (F - 1)A.
 
     Raises InfiniteOrder when no power of `frobenius` up to
-    DEFAULT_CLOSURE_CAP acts as the identity, or once its powers cost more
-    than ORDER_WORK_CAP, and ValueError when it is not an endomorphism.
+    DEFAULT_CLOSURE_CAP acts as the identity, or once deciding its order
+    would cost more than ORDER_WORK_CAP, and ValueError when it is not an
+    endomorphism.
 
     >>> cyclic_h1(FgAbelianGroup.cyclic(2), IntegerMatrix.identity(1))
     FgAbelianGroup(free_rank=0, invariant_factors=(2,))

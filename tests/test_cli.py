@@ -4,6 +4,7 @@ import json
 import random
 import re
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -411,6 +412,19 @@ def test_order_loop_is_charged_for_its_work(capsys):
     assert time.perf_counter() - start < 2.0
     assert (code, out) == (1, "")
     assert json.loads(err)["error"] == "infinite-order"
+
+
+# The requests cli_mix benchmarks, each answer checked against an
+# independent reference when bench/record_cli.py recorded it.
+RECORDED_CASES = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "cli_cases.json").read_text())
+
+
+@pytest.mark.parametrize("case", RECORDED_CASES,
+                         ids=[f"{i}-{case['group']}" for i, case in enumerate(RECORDED_CASES)])
+def test_recorded_case_keeps_exit_code_and_stdout(capsys, case):
+    code, out, _ = run_cli(capsys, *case["argv"])
+    assert (code, out) == (case["exit"], case["stdout"])
 
 
 VALID_REQUESTS = [

@@ -85,6 +85,8 @@ class TestCloseGroup:
     def test_rejects_non_unimodular(self):
         with pytest.raises(NotUnimodular):
             close_group([mat([[2]])])
+        with pytest.raises(NotUnimodular):  # its orbit of (1, 2) meets (0, 0) twice
+            close_group([mat([[0, 1], [0, 0]])])
 
     def test_cap(self):
         # the shear [[1,1],[0,1]] generates an infinite group
@@ -217,6 +219,26 @@ class TestCyclicClosureAgainstProducts:
             close_group([mat([[2]])])
         assert len(steps) <= 64
         assert str(info.value) == "generator determinant 2 is not a unit"
+
+    def test_an_orbit_past_the_limit_needs_no_closure(self, monkeypatch):
+        # Order 2 * 3 * ... * 23 at rank 100: the orbit passes the 1664
+        # points the word cap admits, and the error reads as the closure's
+        # would, with no element multiplied out.
+        monkeypatch.setattr(galois, "_closure_walk", lambda *args: pytest.fail("closure walked"))
+        with pytest.raises(ClosureCapExceeded) as info:
+            close_group([_permutation((2, 3, 5, 7, 11, 13, 17, 19, 23))])
+        assert str(info.value) == "closure of rank 100 exceeded 1664 elements"
+
+    def test_a_non_unit_past_the_orbit_limit_is_reported_first(self):
+        # The companion matrix of x^100 - 2: its orbit doubles every 100
+        # steps, so it passes the 1664-point limit with entries far below
+        # 63 bits, and its determinant still decides the error.
+        n = 100
+        companion = mat([[2 if (i, j) == (0, n - 1) else int(i == j + 1) for j in range(n)]
+                         for i in range(n)])
+        with pytest.raises(NotUnimodular) as info:
+            close_group([companion])
+        assert str(info.value) == "generator determinant -2 is not a unit"
 
     def test_shear_detail_unchanged(self):
         shear = mat([[1, 1], [0, 1]])
@@ -556,3 +578,28 @@ class TestEndomorphismOrder:
         assert str(info.value) == "no power up to 10000 acts as the identity"
         with pytest.raises(InfiniteOrder):
             endomorphism_order(FgAbelianGroup.cyclic(4), mat([[2]]))
+
+    @pytest.mark.parametrize("n", [2, 1000])
+    def test_an_orbit_that_closes_short_of_the_order_takes_another_round(self, monkeypatch, n):
+        # On Z/n (+) Z, F = [[1, 1], [0, 1]] has order n, but the walk of
+        # (1, 2) comes back after n / 2 steps (F fixes it when n = 2).  The
+        # next round walks (0, 1) under F^(n/2), back after 2 steps.
+        products = _count_products(monkeypatch)
+        assert endomorphism_order(FgAbelianGroup(1, (n,)), mat([[1, 1], [0, 1]])) == n
+        # Only the rounds' power checks multiply: F^(n/2), then its square.
+        assert len(products) <= 2 * (n // 2).bit_length() + 1
+
+    def test_one_call_charges_one_budget(self, monkeypatch):
+        # Under the shear on Z^2 a walk step costs 2 + 3 units (the rank and
+        # the nonzero entries) and a product with a power of it 2 * (2 + 3).
+        monkeypatch.setattr(galois, "ORDER_WORK_CAP", 1000)
+        steps = []
+        apply_sparse = galois._apply_sparse
+        monkeypatch.setattr(galois, "_apply_sparse",
+                            lambda rows, v: steps.append(1) or apply_sparse(rows, v))
+        products = _count_products(monkeypatch)
+        with pytest.raises(InfiniteOrder) as info:
+            endomorphism_order(FgAbelianGroup.free(2), mat([[1, 1], [0, 1]]))
+        assert 5 * len(steps) + 10 * len(products) <= 1000
+        assert str(info.value) == ("no power up to 200 of the rank-2 matrix acts as the "
+                                   "identity within 1000 work units")

@@ -1,6 +1,7 @@
 """Package-wide contracts: module boundaries and exact integer inputs."""
 
 import ast
+import doctest
 import importlib
 import importlib.util
 from fractions import Fraction
@@ -58,6 +59,15 @@ def test_benchmark_traced_names_resolve():
 def _family():
     f = MultivariatePolynomial(1, ((1, (1,)),))
     return NormTorsorFamily(PadicContext(5, 4), 2, f)
+
+
+def test_docstring_examples_pass():
+    # The examples `pytest --doctest-modules src/tametorus` runs.
+    modules = [tametorus] + [importlib.import_module(f"tametorus.{path.stem}")
+                             for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"]
+    results = [doctest.testmod(module, verbose=False) for module in modules]
+    assert sum(r.failed for r in results) == 0
+    assert sum(r.attempted for r in results) >= 5
 
 
 NON_INTEGERS = {
