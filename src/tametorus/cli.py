@@ -6,10 +6,15 @@ cannot be written); 2 on malformed input, which includes every command
 line the argument parser rejects (an unknown flag or subcommand, a
 missing flag, a non-integer where an integer is expected) and every JSON
 document its reader rejects (a missing key, a non-integer, a ragged
-matrix, a shape or index that does not fit).  A nonzero exit writes
+matrix, a shape or index that does not fit, an integer longer than the
+interpreter's 4300-digit limit).  A nonzero exit writes
 {"error": ..., "detail": ...} to stderr and nothing to stdout.  `main`
 returns the status; it does not raise SystemExit.  Output is
-byte-identical for identical inputs and seeds.
+byte-identical for identical inputs and seeds, and report integers are
+written exactly, whatever their length.
+
+Each call builds the parser of the subcommand it names and no other;
+`--help`, an unknown subcommand or no arguments build them all.
 """
 
 from __future__ import annotations
@@ -51,7 +56,9 @@ def _load_json_arg(value: str) -> dict:
             raise MalformedInput(f"cannot read {value}: {exc}") from exc
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
+    # ValueError: an integer past the interpreter's digit limit (JSONDecodeError
+    # is one too); RecursionError: nesting too deep.
+    except (ValueError, RecursionError) as exc:
         raise MalformedInput(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise MalformedInput("expected a JSON object")
@@ -204,14 +211,17 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The argument parser with every subcommand, or only `command`'s: a
+    subcommand's usage, help and errors do not depend on its siblings."""
     parser = _Parser(
         prog="tametorus",
         description="Component groups of tame norm tori, p-adic norm classes, "
         "and torsor-evaluation checks over the special fibre.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, example, arguments) in _COMMANDS.items():
+    for name in _COMMANDS if command is None else [command]:
+        func, example, arguments = _COMMANDS[name]
         p = sub.add_parser(name, epilog=f"example: {example}")
         for flag, options in arguments:
             p.add_argument(flag, **options)
@@ -221,7 +231,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(report: dict, output: Optional[str], stream) -> None:
-    text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    # Report integers are written exactly, however many digits they have
+    # (SNF transforms of a 26 x 26 matrix reach past the default 4300).
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
     if output:
         Path(output).write_text(text)
     else:
@@ -234,7 +251,11 @@ def _fail(code: int, error: str, detail: str) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # Anything but a subcommand name first (--help, no arguments, an unknown
+    # command, an option) takes the full parser: its help lists them all.
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         report = args.func(args)

@@ -1,8 +1,10 @@
+import argparse
 import contextlib
 import io
 import json
 import random
 import re
+import sys
 import time
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tametorus import cli
 from tametorus.cli import main
 
 
@@ -197,13 +200,18 @@ def test_reports_reparse_under_schema(capsys):
     assert FgAbelianGroup.from_json_dict(json.loads(out)).order() == 4
 
 
-@pytest.mark.parametrize("argv", [
-    ("coinvariants", "--module", "-1e5"),
-    ("coinvariants", "--module", '{"lattice_rank":1,"generators":[]}', "--unknown", "1"),
-    ("norm-class", "--p", "5", "--e", "2"),
-    ("norm-class", "--p", "5", "--e", "x", "--a", "2"),
-    ("no-such-command",),
-], ids=["dash-value", "unknown-flag", "missing-flag", "non-integer-flag", "unknown-command"])
+REJECTED_COMMAND_LINES = {
+    "dash-value": ("coinvariants", "--module", "-1e5"),
+    "unknown-flag": ("coinvariants", "--module", '{"lattice_rank":1,"generators":[]}',
+                     "--unknown", "1"),
+    "missing-flag": ("norm-class", "--p", "5", "--e", "2"),
+    "non-integer-flag": ("norm-class", "--p", "5", "--e", "x", "--a", "2"),
+    "unknown-command": ("no-such-command",),
+}
+
+
+@pytest.mark.parametrize("argv", list(REJECTED_COMMAND_LINES.values()),
+                         ids=list(REJECTED_COMMAND_LINES))
 def test_rejected_command_line_is_malformed(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
@@ -217,6 +225,30 @@ def test_help_exits_zero(capsys, argv):
     assert code == 0
     assert out.startswith("usage: tametorus")
     assert err == ""
+
+
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def test_report_integers_past_the_digit_limit_are_written_exactly(capsys):
+    # The fixed 26 x 26 matrix of the lattice_tower benchmark: entries of
+    # its U and V run past the interpreter's default of 4300 digits.
+    rng = random.Random("snf-fixed-26")
+    a = [[rng.randint(-20, 20) for _ in range(26)] for _ in range(26)]
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "snf", "--matrix",
+                             json.dumps({"rows": 26, "cols": 26, "entries": a}))
+    assert sys.get_int_max_str_digits() == limit
+    assert (code, err) == (0, "")
+    sys.set_int_max_str_digits(0)
+    try:
+        report = json.loads(out)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    u, s, v = (report[key]["entries"] for key in "USV")
+    assert max(abs(x) for row in u + v for x in row) >= 10 ** 4300
+    assert _product(_product(u, a), v) == s
 
 
 @pytest.mark.parametrize("target", ["missing-dir/report.json", "."], ids=["no-dir", "a-dir"])
@@ -279,7 +311,11 @@ SHAPE_ERRORS = {
         "precision-one": _family(precision=1),
         "exponent-length": _family(f=[{"c": 1, "exp": [1, 0]}]),
     },
-    "matrix": {"ragged-entries": json.dumps(RAGGED)},
+    "matrix": {
+        "ragged-entries": json.dumps(RAGGED),
+        # json.loads raises a plain ValueError past the interpreter's limit.
+        "integer-past-digit-limit": '{"rows":1,"cols":1,"entries":[[' + "1" * 5000 + "]]}",
+    },
 }
 DOC = object()  # where the document goes in a command line
 READERS = {
@@ -425,6 +461,58 @@ RECORDED_CASES = json.loads(
 def test_recorded_case_keeps_exit_code_and_stdout(capsys, case):
     code, out, _ = run_cli(capsys, *case["argv"])
     assert (code, out) == (case["exit"], case["stdout"])
+
+
+SNF_2X2 = ("snf", "--matrix", '{"rows":2,"cols":2,"entries":[[2,4],[6,8]]}')
+
+# Command lines whose exit code, stdout and stderr must not depend on
+# whether the parser holds one subcommand or all of them.
+PARITY_LINES = [
+    *(pytest.param(case["argv"], id=f"recorded-{i}") for i, case in enumerate(RECORDED_CASES)),
+    *(pytest.param(argv, id=f"rejected-{name}") for name, argv in REJECTED_COMMAND_LINES.items()),
+    pytest.param(("--help",), id="help"),
+    pytest.param(("-h",), id="h"),
+    pytest.param((), id="no-arguments"),
+    pytest.param(("snf", "snf"), id="command-twice"),
+    pytest.param(("snf", "--mat", SNF_2X2[2]), id="abbreviated-flag"),
+    pytest.param(("--output", "x", *SNF_2X2), id="option-before-command"),
+    *(pytest.param((name, "--help"), id=f"{name}-help") for name in cli._COMMANDS),
+]
+
+
+@pytest.mark.parametrize("argv", PARITY_LINES)
+def test_one_subcommand_parser_answers_as_the_full_parser(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    alone = run_cli(capsys, *argv)
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
+    assert run_cli(capsys, *argv) == alone
+
+
+def test_only_the_named_subcommand_parser_is_built(capsys, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+
+    def names_built(*argv):
+        built.clear()
+        run_cli(capsys, *argv)
+        return built
+
+    assert names_built(*SNF_2X2) == ["snf"]
+    for argv in [("--help",), (), ("no-such-command",)]:
+        assert names_built(*argv) == list(cli._COMMANDS), argv
+    # main() reads sys.argv itself and still builds one subcommand.
+    monkeypatch.setattr(sys, "argv", ["tametorus", *SNF_2X2])
+    built.clear()
+    assert main() == 0
+    assert built == ["snf"]
+    assert json.loads(capsys.readouterr().out)["S"]["entries"] == [[2, 0], [0, 4]]
 
 
 VALID_REQUESTS = [
