@@ -7,7 +7,7 @@ line the argument parser rejects (an unknown flag or subcommand, a
 missing flag, a non-integer where an integer is expected) and every JSON
 document its reader rejects (a missing key, a non-integer, a ragged
 matrix, a shape or index that does not fit, an integer longer than the
-interpreter's 4300-digit limit).  A nonzero exit writes
+interpreter's int-digit limit, 4300 by default).  A nonzero exit writes
 {"error": ..., "detail": ...} to stderr and nothing to stdout.  `main`
 returns the status; it does not raise SystemExit.  Output is
 byte-identical for identical inputs and seeds, and report integers are
