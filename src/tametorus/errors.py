@@ -6,6 +6,17 @@ from DomainError, so callers (in particular the CLI) can distinguish
 """
 
 
+def describe_int(value) -> str:
+    """str() of an integer or a tuple of integers, for a message: an
+    integer past the interpreter's int-digit limit reads as its bit length."""
+    try:
+        return str(value)
+    except ValueError:
+        if isinstance(value, tuple):
+            return "(" + ", ".join(map(describe_int, value)) + ")"
+        return f"a {'negative ' if value < 0 else ''}{value.bit_length()}-bit integer"
+
+
 class DomainError(Exception):
     """Base class for violated mathematical preconditions."""
 

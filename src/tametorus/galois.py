@@ -12,7 +12,7 @@ import operator
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .errors import ClosureCapExceeded, InfiniteOrder, NotUnimodular
+from .errors import ClosureCapExceeded, InfiniteOrder, NotUnimodular, describe_int
 from .lattice import (
     DIMENSION_CAP,
     FgAbelianGroup,
@@ -132,15 +132,6 @@ def _word_sized(m: IntegerMatrix) -> IntegerMatrix:
     return m
 
 
-def _sparse_rows(m: IntegerMatrix) -> list[list[tuple[int, int]]]:
-    """Each row of m as the (column, entry) pairs of its nonzero entries."""
-    return [[(j, x) for j, x in enumerate(m.row(i)) if x] for i in range(m.rows)]
-
-
-def _apply_sparse(rows: list[list[tuple[int, int]]], vec: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sum(x * vec[j] for j, x in row) for row in rows)
-
-
 def _power(m: IntegerMatrix, exponent: int, mul) -> IntegerMatrix:
     """m^exponent for exponent >= 1 by square-and-multiply: fewer than
     2 * exponent.bit_length() products."""
@@ -175,10 +166,8 @@ def _cyclic_orbit(g: IntegerMatrix, limit: int) -> Optional[dict[tuple[int, ...]
     or None when no g^j with 0 < j <= limit fixes (1, ..., n).  Raises
     _Undecided when an entry of g, of an orbit point or of a checked power
     passes 63 bits, or when g^L != I."""
-    rows = _sparse_rows(g)
-
     def step(v, _):
-        point = _apply_sparse(rows, v)
+        point = g.apply(v)
         if _bits(point) > 63:
             raise _Undecided
         return point
@@ -257,10 +246,10 @@ def close_group(generators: Sequence[IntegerMatrix], *,
         if all(h in group for h in steps[1:]):
             return group
 
-    for g in gens:
+    for g in steps:
         det = g.det()
         if det not in (1, -1):
-            raise NotUnimodular(f"generator determinant {det} is not a unit")
+            raise NotUnimodular(f"generator determinant {describe_int(det)} is not a unit")
     if orbit is None:
         # g^0, ..., g^limit are distinct (a point met twice makes det g = 0),
         # so the closure would stop at a cap, after `limit` word-sized elements.
@@ -466,12 +455,11 @@ def endomorphism_order(group: FgAbelianGroup, matrix: IntegerMatrix, *,
                                 f"identity within {ORDER_WORK_CAP} work units")
 
     while not h.is_identity():
-        rows = _sparse_rows(h)
-        nonzero, words = sum(map(len, rows)), _words(h.entries)
+        nonzero, words = len(h.entries) - h.entries.count(0), _words(h.entries)
 
         def step(vec, j):  # h != I, and no h^i with 0 < i <= j fixes the start
             charge(k + nonzero * max(words, _words(vec)), order * max(j, 1))
-            return group.reduce(_apply_sparse(rows, vec))
+            return group.reduce(h.apply(vec))
 
         for start in starts:  # h moves one of them, as h != I
             orbit = _orbit(step, start, cap // order)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .errors import NotUnimodular, SubgroupViolation
+from .errors import NotUnimodular, SubgroupViolation, describe_int
 
 __all__ = [
     "IntegerMatrix",
@@ -133,17 +133,12 @@ class IntegerMatrix:
 
     @classmethod
     def from_cols(cls, cols: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntegerMatrix":
-        ncols = len(cols)
-        if ncols == 0:
-            return cls(0 if rows is None else rows, 0, ())
-        nrows = len(cols[0]) if rows is None else rows
-        flat = [0] * (nrows * ncols)
-        for j, c in enumerate(cols):
-            if len(c) != nrows:
-                raise ValueError("ragged columns")
-            for i, x in enumerate(c):
-                flat[i * ncols + j] = operator.index(x)
-        return cls(nrows, ncols, tuple(flat))
+        if rows is None:
+            rows = len(cols[0]) if cols else 0
+        if any(len(c) != rows for c in cols):
+            raise ValueError("ragged columns")
+        # zip yields no rows for no columns, so that case lists its empty rows.
+        return cls.from_rows(list(zip(*cols)) if cols else [()] * rows, cols=len(cols))
 
     @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
@@ -174,10 +169,7 @@ class IntegerMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "IntegerMatrix":
-        flat = [0] * (self.rows * self.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                flat[j * self.rows + i] = self.entries[i * self.cols + j]
+        flat = itertools.chain.from_iterable(map(self.col, range(self.cols)))
         return IntegerMatrix(self.cols, self.rows, tuple(flat))
 
     def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
@@ -215,14 +207,17 @@ class IntegerMatrix:
     def scale(self, c: int) -> "IntegerMatrix":
         return IntegerMatrix(self.rows, self.cols, tuple(c * x for x in self.entries))
 
+    @cached_property
+    def _row_pairs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        # Each row as the (column, entry) pairs of its nonzero entries.
+        return tuple(tuple((j, x) for j, x in enumerate(self.row(i)) if x)
+                     for i in range(self.rows))
+
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """Matrix-vector product."""
+        """Matrix-vector product, multiplying only the nonzero entries."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(
-            sum(self.entries[i * self.cols + j] * vec[j] for j in range(self.cols))
-            for i in range(self.rows)
-        )
+        return tuple(sum(x * vec[j] for j, x in row) for row in self._row_pairs)
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and self.entries == IntegerMatrix.identity(self.rows).entries
@@ -271,17 +266,11 @@ def hstack(blocks: Sequence[IntegerMatrix], rows: Optional[int] = None) -> Integ
 
 def vstack(blocks: Sequence[IntegerMatrix], cols: Optional[int] = None) -> IntegerMatrix:
     """Concatenate matrices top-to-bottom.  `cols` disambiguates the empty case."""
-    if not blocks:
-        if cols is None:
-            raise ValueError("vstack of no blocks needs an explicit column count")
-        return IntegerMatrix(0, cols, ())
-    ncols = blocks[0].cols
-    if any(b.cols != ncols for b in blocks):
+    if not blocks and cols is None:
+        raise ValueError("vstack of no blocks needs an explicit column count")
+    if any(b.cols != blocks[0].cols for b in blocks):
         raise ValueError("column count mismatch")
-    out_rows = []
-    for b in blocks:
-        out_rows.extend(b.to_rows())
-    return IntegerMatrix.from_rows(out_rows, cols=ncols)
+    return hstack([b.transpose() for b in blocks], rows=cols).transpose()
 
 
 @dataclass(frozen=True)
@@ -428,7 +417,8 @@ def unimodular_inverse(M: IntegerMatrix) -> IntegerMatrix:
         raise NotUnimodular("matrix is not square")
     snf = smith_normal_form(M)
     if not snf.S.is_identity():
-        raise NotUnimodular(f"determinant is not a unit: invariant factors {snf.diagonal()}")
+        factors = describe_int(snf.diagonal())
+        raise NotUnimodular(f"determinant is not a unit: invariant factors {factors}")
     return snf.V @ snf.U
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 
 from tametorus.errors import ClosureCapExceeded, InfiniteOrder, NoStabilization, NotUnimodular
@@ -46,6 +47,45 @@ def det_cofactor(rows: list[list[int]]) -> int:
         sign = 1 if j % 2 == 0 else -1
         total += sign * head * det_cofactor(minor)
     return total
+
+
+def apply_dense(m: IntegerMatrix, vec) -> tuple[int, ...]:
+    """Matrix-vector product over every entry, zeros included (reference)."""
+    if len(vec) != m.cols:
+        raise ValueError("vector length mismatch")
+    return tuple(sum(m.entries[i * m.cols + j] * vec[j] for j in range(m.cols))
+                 for i in range(m.rows))
+
+
+def from_cols_by_entries(cols, rows=None) -> IntegerMatrix:
+    """IntegerMatrix.from_cols placing each entry at its row-major index
+    (reference)."""
+    ncols = len(cols)
+    if ncols == 0:
+        return IntegerMatrix(0 if rows is None else rows, 0, ())
+    nrows = len(cols[0]) if rows is None else rows
+    flat = [0] * (nrows * ncols)
+    for j, c in enumerate(cols):
+        if len(c) != nrows:
+            raise ValueError("ragged columns")
+        for i, x in enumerate(c):
+            flat[i * ncols + j] = operator.index(x)
+    return IntegerMatrix(nrows, ncols, tuple(flat))
+
+
+def vstack_by_rows(blocks, cols=None) -> IntegerMatrix:
+    """vstack concatenating the blocks' row lists (reference)."""
+    if not blocks:
+        if cols is None:
+            raise ValueError("vstack of no blocks needs an explicit column count")
+        return IntegerMatrix(0, cols, ())
+    ncols = blocks[0].cols
+    if any(b.cols != ncols for b in blocks):
+        raise ValueError("column count mismatch")
+    out_rows = []
+    for b in blocks:
+        out_rows.extend(b.to_rows())
+    return IntegerMatrix.from_rows(out_rows, cols=ncols)
 
 
 def invariant_factors_by_minors(m: IntegerMatrix) -> tuple[int, ...]:

@@ -251,6 +251,25 @@ def test_report_integers_past_the_digit_limit_are_written_exactly(capsys):
     assert _product(_product(u, a), v) == s
 
 
+BIG = "1" + "0" * 4200  # 10^4200: its square is past the interpreter's int-digit limit
+
+
+@pytest.mark.parametrize("argv,detail", [
+    (["coinvariants", "--module",
+      '{"lattice_rank":2,"generators":[{"rows":2,"cols":2,"entries":'
+      f'[[{BIG},0],[0,{BIG}]]}}],"inertia":[0]}}'],
+     "generator determinant a 27905-bit integer is not a unit"),
+    (["component-group", "--module",
+      '{"lattice_rank":2,"generators":[{"rows":2,"cols":2,"entries":[[1,0],[0,1]]}],'
+      f'"inertia":[0],"frobenius":{{"rows":2,"cols":2,"entries":[[{BIG},1],[0,{BIG}]]}}}}'],
+     "frobenius must be unimodular"),
+], ids=["coinvariants-determinant", "component-group-frobenius"])
+def test_a_non_unit_past_the_digit_limit_is_a_domain_error(capsys, argv, detail):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "not-unimodular", "detail": detail}
+
+
 @pytest.mark.parametrize("target", ["missing-dir/report.json", "."], ids=["no-dir", "a-dir"])
 def test_unwritable_output_is_an_error(tmp_path, capsys, target):
     code, out, err = run_cli(capsys, "norm-class", "--p", "5", "--e", "2", "--a", "2",

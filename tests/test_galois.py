@@ -138,6 +138,28 @@ class TestCloseGroup:
         assert group.order == 6
         assert group.elements == reference.elements
 
+    def test_determinants_only_of_distinct_non_identity_generators(self, monkeypatch):
+        dets = []
+        det = IntegerMatrix.det
+        monkeypatch.setattr(IntegerMatrix, "det", lambda m: dets.append(m) or det(m))
+        for n in (1, 3, 40):
+            assert close_group([IntegerMatrix.identity(n)]).order == 1
+        assert dets == []
+        cycle = mat([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+        flip = mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+        group = close_group([cycle, cycle, IntegerMatrix.identity(3), flip])
+        assert dets == [cycle, flip]
+        assert group.elements == close_group([cycle, flip]).elements
+
+    def test_the_first_non_unit_generator_names_the_error(self):
+        for gens in ([SWAP, mat([[2, 0], [0, 1]]), mat([[3, 0], [0, 1]])],
+                     [IntegerMatrix.identity(2), SWAP, mat([[-2, 0], [0, 1]])]):
+            with pytest.raises(NotUnimodular) as info:
+                close_group(gens)
+            with pytest.raises(NotUnimodular) as by_products:
+                closure_by_products(gens)
+            assert str(info.value) == str(by_products.value)
+
     def test_cap_counts_words_of_large_entries(self):
         # A shear whose entries start past one machine word: the word budget
         # stops it long before the element cap.
@@ -212,9 +234,8 @@ class TestCyclicClosureAgainstProducts:
 
     def test_non_unit_determinant_stops_within_64_steps(self, monkeypatch):
         steps = []
-        apply_sparse = galois._apply_sparse
-        monkeypatch.setattr(galois, "_apply_sparse",
-                            lambda rows, v: steps.append(1) or apply_sparse(rows, v))
+        apply = IntegerMatrix.apply
+        monkeypatch.setattr(IntegerMatrix, "apply", lambda m, v: steps.append(1) or apply(m, v))
         with pytest.raises(NotUnimodular) as info:
             close_group([mat([[2]])])
         assert len(steps) <= 64
@@ -594,9 +615,8 @@ class TestEndomorphismOrder:
         # the nonzero entries) and a product with a power of it 2 * (2 + 3).
         monkeypatch.setattr(galois, "ORDER_WORK_CAP", 1000)
         steps = []
-        apply_sparse = galois._apply_sparse
-        monkeypatch.setattr(galois, "_apply_sparse",
-                            lambda rows, v: steps.append(1) or apply_sparse(rows, v))
+        apply = IntegerMatrix.apply
+        monkeypatch.setattr(IntegerMatrix, "apply", lambda m, v: steps.append(1) or apply(m, v))
         products = _count_products(monkeypatch)
         with pytest.raises(InfiniteOrder) as info:
             endomorphism_order(FgAbelianGroup.free(2), mat([[1, 1], [0, 1]]))

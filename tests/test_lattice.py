@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tametorus import lattice
-from tametorus.errors import NotUnimodular, SubgroupViolation
+from tametorus.errors import NotUnimodular, SubgroupViolation, describe_int
 from tametorus.lattice import (
     FgAbelianGroup,
     IntegerMatrix,
@@ -24,7 +24,16 @@ from tametorus.lattice import (
     vstack,
 )
 
-from helpers import invariant_factors_by_minors, random_matrix, random_unimodular
+from tametorus.torus import norm_torus_spec
+
+from helpers import (
+    apply_dense,
+    from_cols_by_entries,
+    invariant_factors_by_minors,
+    random_matrix,
+    random_unimodular,
+    vstack_by_rows,
+)
 
 
 def mat(rows):
@@ -345,6 +354,103 @@ def test_stack_helpers():
     assert vstack([a, b]) == mat([[1, 2], [3, 4]])
     assert hstack([], rows=2) == IntegerMatrix(2, 0, ())
     assert vstack([], cols=2) == IntegerMatrix(0, 2, ())
+
+
+def test_not_unimodular_messages_name_their_integers():
+    assert ([describe_int(x) for x in (2, -2, (6,), (1, 6), ())]
+            == ["2", "-2", "(6,)", "(1, 6)", "()"])
+    big = 10 ** 4200
+    assert describe_int(big * big) == "a 27905-bit integer"
+    assert describe_int(-big * big) == "a negative 27905-bit integer"
+    assert describe_int((1, big * big)) == "(1, a 27905-bit integer)"
+    for m, factors in ((mat([[6]]), "(6,)"), (mat([[2, 0], [0, 3]]), "(1, 6)"),
+                       (mat([[big, 1], [0, big]]), "(1, a 27905-bit integer)")):
+        with pytest.raises(NotUnimodular) as info:
+            unimodular_inverse(m)
+        assert str(info.value) == f"determinant is not a unit: invariant factors {factors}"
+
+
+def _sized(rng, rows, cols, lo=-5, hi=5):
+    return IntegerMatrix(rows, cols, tuple(rng.randint(lo, hi) for _ in range(rows * cols)))
+
+
+class TestMatrixPrimitivesAgainstReferences:
+    def test_apply_matches_the_dense_product(self):
+        rng = random.Random(29)
+        cases = []
+        for e in (2, 3, 7, 16, 33):
+            g = norm_torus_spec(e).characters.generators[0]
+            power = g
+            for _ in range(e + 1):  # g^e = I, so every power shows up
+                cases.append(power)
+                power = power @ g
+        for _ in range(60):
+            cases.append(_sized(rng, rng.randint(1, 7), rng.randint(1, 7)))
+        for _ in range(20):
+            m = _sized(rng, rng.randint(2, 6), rng.randint(1, 6))
+            zero_rows = rng.sample(range(m.rows), rng.randint(1, m.rows))
+            cases.append(IntegerMatrix.from_rows(
+                [[0] * m.cols if i in zero_rows else m.row(i) for i in range(m.rows)],
+                cols=m.cols))
+        cases += [IntegerMatrix.zero(0, k) for k in range(4)]
+        cases += [IntegerMatrix.zero(k, 0) for k in range(4)]
+        for m in cases:
+            for vec in ([rng.randint(-9, 9) for _ in range(m.cols)], range(1, m.cols + 1),
+                        tuple(rng.randint(-2 ** 80, 2 ** 80) for _ in range(m.cols))):
+                assert m.apply(vec) == apply_dense(m, vec)
+                assert m.apply(vec) == apply_dense(m, vec)  # from the cached rows
+
+    def test_apply_rejects_a_vector_of_the_wrong_length(self):
+        m = mat([[1, 0, 2], [0, 0, 0]])
+        for vec in ([1, 2], range(4), ()):
+            with pytest.raises(ValueError, match="vector length mismatch"):
+                m.apply(vec)
+        with pytest.raises(ValueError, match="vector length mismatch"):
+            IntegerMatrix.zero(3, 0).apply([0])
+
+    def test_apply_leaves_eq_and_hash_alone(self):
+        a, b = mat([[0, 2], [3, 0]]), mat([[0, 2], [3, 0]])
+        a.apply([1, 1])
+        assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+
+    def test_from_cols_matches_the_reference(self):
+        rng = random.Random(31)
+        for _ in range(80):
+            rows, ncols = rng.randint(0, 6), rng.randint(1, 6)
+            cols = [[rng.randint(-9, 9) for _ in range(rows)] for _ in range(ncols)]
+            explicit = rows if rng.random() < 0.5 else None
+            assert IntegerMatrix.from_cols(cols, rows=explicit) == from_cols_by_entries(
+                cols, rows=explicit)
+        for rows in (None, 0, 3):
+            assert IntegerMatrix.from_cols([], rows=rows) == from_cols_by_entries([], rows=rows)
+        assert IntegerMatrix.from_cols([range(3), (4, 5, 6)]) == mat([[0, 4], [1, 5], [2, 6]])
+
+    def test_from_cols_rejects_ragged_columns(self):
+        for cols, rows in (([[1, 2], [3]], None), ([[1], [2, 3]], None), ([[1, 2]], 3),
+                           ([[]], 1)):
+            with pytest.raises(ValueError):
+                from_cols_by_entries(cols, rows=rows)
+            with pytest.raises(ValueError):
+                IntegerMatrix.from_cols(cols, rows=rows)
+
+    def test_vstack_matches_the_reference(self):
+        rng = random.Random(37)
+        for _ in range(80):
+            ncols = rng.randint(0, 5)
+            blocks = [_sized(rng, rng.randint(0, 4), ncols) for _ in range(rng.randint(1, 4))]
+            explicit = ncols if rng.random() < 0.5 else None
+            assert vstack(blocks, cols=explicit) == vstack_by_rows(blocks, cols=explicit)
+        for ncols in range(4):
+            assert vstack([], cols=ncols) == vstack_by_rows([], cols=ncols)
+
+    def test_vstack_keeps_its_errors(self):
+        for stack in (vstack, vstack_by_rows):
+            with pytest.raises(ValueError, match="needs an explicit column count"):
+                stack([])
+            with pytest.raises(ValueError, match="column count mismatch"):
+                stack([mat([[1, 2]]), mat([[3]])])
+            with pytest.raises(ValueError, match="column count mismatch"):
+                stack([IntegerMatrix.zero(2, 3), IntegerMatrix.zero(0, 2)], cols=3)
 
 
 def test_image_basis_spans_columns():
