@@ -77,8 +77,6 @@ def det_rows(m: list[list[int]]) -> int:
     n = len(m)
     if n == 0:
         return 1
-    if n == 1:
-        return m[0][0]
     if n == 2:
         return m[0][0] * m[1][1] - m[0][1] * m[1][0]
     sign = 1
@@ -287,10 +285,9 @@ class SnfResult:
 
 def _row_gcd_op(S, W, t, i):
     # Unimodular 2x2 row transform making S[t][t] = gcd and S[i][t] = 0.
+    # Every caller has S[t][t] != 0 and S[i][t] != 0.
     a, b = S[t][t], S[i][t]
-    if b == 0:
-        return
-    if a != 0 and b % a == 0:
+    if b % a == 0:
         q = b // a
         for M in (S, W):
             Mt, Mi = M[t], M[i]
@@ -310,9 +307,7 @@ def _row_gcd_op(S, W, t, i):
 def _col_gcd_op(S, W, t, j):
     # Column analogue of _row_gcd_op, acting on S and the right transform W.
     a, b = S[t][t], S[t][j]
-    if b == 0:
-        return
-    if a != 0 and b % a == 0:
+    if b % a == 0:
         q = b // a
         for M in (S, W):
             for row in M:
@@ -332,7 +327,8 @@ def smith_normal_form(A: IntegerMatrix) -> SnfResult:
 
     U and V are unimodular; S is diagonal with nonnegative entries
     satisfying d_i | d_{i+1}, zeros last.  Pivots are chosen with minimal
-    absolute value to limit coefficient growth.
+    absolute value to limit coefficient growth, and each pivot's sign is
+    settled as soon as the pivot is final.
 
     >>> smith_normal_form(IntegerMatrix.from_rows([[2, 4], [6, 8]])).diagonal()
     (2, 4)
@@ -378,14 +374,13 @@ def smith_normal_form(A: IntegerMatrix) -> SnfResult:
             # Row t is clear: each column step zeroes its S[t][j] for good.
             if all(S[i][t] == 0 for i in range(t + 1, m)):
                 break
+        # Pivot t is final: no later step touches row t of S or U.
+        if S[t][t] < 0:
+            S[t] = [-x for x in S[t]]
+            U[t] = [-x for x in U[t]]
         t += 1
 
     r = t  # number of nonzero diagonal entries
-    for i in range(r):
-        if S[i][i] < 0:
-            S[i] = [-x for x in S[i]]
-            U[i] = [-x for x in U[i]]
-
     # Enforce the divisibility chain on the nonzero diagonal.
     changed = True
     while changed:
@@ -398,11 +393,8 @@ def smith_normal_form(A: IntegerMatrix) -> SnfResult:
                     for row in M:
                         row[i] += row[i + 1]
                 _row_gcd_op(S, U, i, i + 1)
-                # S[i][i] = gcd(a,b); clear the fill-in at (i, i+1).
+                # S[i][i] = g = gcd(a,b), S[i+1][i+1] = ab/g > 0; clear y*b != 0 at (i, i+1).
                 _col_gcd_op(S, V, i, i + 1)
-                if S[i + 1][i + 1] < 0:
-                    S[i + 1] = [-x for x in S[i + 1]]
-                    U[i + 1] = [-x for x in U[i + 1]]
 
     return SnfResult(
         U=IntegerMatrix.from_rows(U, cols=m),
@@ -616,14 +608,13 @@ class LatticeQuotient:
     def __init__(self, relations: IntegerMatrix):
         n = relations.rows
         snf = smith_normal_form(relations)
+        # Padded diagonal: 1s, then the torsion factors, then zeros.
         d = list(snf.diagonal()) + [0] * (n - min(n, relations.cols))
-        torsion_idx = [i for i in range(n) if d[i] >= 2]
-        free_idx = [i for i in range(n) if d[i] == 0]
-        kept = torsion_idx + free_idx
+        kept = [i for i in range(n) if d[i] != 1]
 
         self.ambient_rank = n
         self.relations = relations
-        self.group = FgAbelianGroup(len(free_idx), tuple(d[i] for i in torsion_idx))
+        self.group = FgAbelianGroup(d.count(0), tuple(x for x in d if x > 1))
         self.projection = IntegerMatrix.from_rows([list(snf.U.row(i)) for i in kept], cols=n)
         self._u = snf.U
         self._kept = kept

@@ -81,6 +81,8 @@ class MultivariatePolynomial:
     terms: tuple[tuple[int, tuple[int, ...]], ...]
 
     def __post_init__(self) -> None:
+        if self.n_vars < 0:
+            raise ValueError("n_vars must be nonnegative")
         combined: dict[tuple[int, ...], int] = {}
         for coeff, exps in self.terms:
             exps = tuple(map(operator.index, exps))

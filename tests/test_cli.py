@@ -329,6 +329,7 @@ SHAPE_ERRORS = {
         "non-prime-p": _family(p=9),
         "precision-one": _family(precision=1),
         "exponent-length": _family(f=[{"c": 1, "exp": [1, 0]}]),
+        "n-vars-negative": _family(n_vars=-1, f=[]),
     },
     "matrix": {
         "ragged-entries": json.dumps(RAGGED),

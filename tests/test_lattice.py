@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -100,6 +101,54 @@ class TestSmithNormalForm:
         rng = random.Random(20260809)
         for _ in range(200):
             assert_snf_contract(random_matrix(rng))
+
+
+def _scrambled_diagonal(rng, n):
+    # A diagonal breaking the divisibility chain, hidden by unimodular maps.
+    d = [rng.choice([2, 3, 4, 6, 9, 10, 15, -6]) for _ in range(n)]
+    diag = IntegerMatrix.from_rows([[d[i] if i == j else 0 for j in range(n)]
+                                    for i in range(n)])
+    return random_unimodular(rng, n) @ diag @ random_unimodular(rng, n)
+
+
+def test_gcd_steps_meet_the_preconditions_the_smith_form_relies_on(monkeypatch):
+    # Each gcd step finds a nonzero pivot and a nonzero entry to clear.
+    # The divisibility pass (the calls made once the main loop has bound
+    # `r`, the number of nonzero pivots) finds every one of those pivots
+    # positive and leaves them positive, so no sign fix-up is needed.
+    calls = {"main": 0, "pass": 0}
+
+    def checked(op, cleared):
+        def wrapped(S, W, t, k):
+            assert S[t][t] != 0
+            assert cleared(S, t, k) != 0
+            r = sys._getframe(1).f_locals.get("r")
+            calls["main" if r is None else "pass"] += 1
+            if r is not None:
+                assert all(S[x][x] > 0 for x in range(r))
+            op(S, W, t, k)
+            if r is not None:
+                assert all(S[x][x] > 0 for x in range(r))
+        return wrapped
+
+    monkeypatch.setattr(lattice, "_row_gcd_op",
+                        checked(lattice._row_gcd_op, lambda S, t, i: S[i][t]))
+    monkeypatch.setattr(lattice, "_col_gcd_op",
+                        checked(lattice._col_gcd_op, lambda S, t, j: S[t][j]))
+    rng = random.Random(20261019)
+    small = [random_matrix(rng, max_dim=5, lo=rng.choice([-3, -20]), hi=rng.choice([3, 20]))
+             for _ in range(150)]
+    small += [_scrambled_diagonal(rng, rng.randint(2, 4)) for _ in range(50)]
+    for a in small:
+        r = assert_snf_contract(a)
+        assert tuple(x for x in r.diagonal() if x) == invariant_factors_by_minors(a)
+    for n in (20, 22, 24, 26):
+        # The fixed large matrices of the lattice_tower benchmark.
+        rows_rng = random.Random(f"snf-fixed-{n}")
+        a = mat([[rows_rng.randint(-20, 20) for _ in range(n)] for _ in range(n)])
+        r = smith_normal_form(a)
+        assert r.U @ a @ r.V == r.S
+    assert calls["main"] > 0 and calls["pass"] > 0
 
 
 class TestCokernel:

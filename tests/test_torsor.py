@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import random
 import time
 
@@ -71,6 +72,16 @@ class TestPolynomial:
     def test_json_roundtrip(self):
         f = P(2, ((3, (1, 2)), (-1, (0, 0))))
         assert P.from_json_list(2, f.to_json_list()) == f
+
+    def test_negative_variable_count_is_rejected(self):
+        with pytest.raises(ValueError, match="n_vars must be nonnegative"):
+            P(-1, ())
+        with pytest.raises(ValueError, match="n_vars must be nonnegative"):
+            NormTorsorFamily.from_json_dict({"p": 5, "precision": 4, "e": 2, "n_vars": -1, "f": []})
+        # No variables is still a family: f is a constant.
+        fam = family(5, 2, P.constant(0, 3))
+        assert fam.f.evaluate_mod([], 5) == 3
+        assert verify_factorization(fam, 5, seed=0).samples_tested == 5
 
 
 class TestEvaluate:
@@ -425,6 +436,37 @@ def test_special_class_once_per_value(monkeypatch):
     calls.clear()
     report = constancy_check(fam)
     assert len(calls) == len({fam.f.evaluate_mod(pt, 13) for pt in report.classes}) <= 12
+
+
+def test_failures_record_each_point_and_then_its_partner(monkeypatch):
+    # Shifting the special route's class by one makes both checks of every
+    # tested point fail: the primary point is recorded, then its partner.
+    original = tametorus.torsor.eth_power_class
+    monkeypatch.setattr(tametorus.torsor, "eth_power_class",
+                        lambda u, e: original(u, e) + NormClass(e, 1))
+    fam = family(7, 3, P.constant(2, 2))
+    generic = evaluate(fam, [0, 0]).value
+    report = verify_factorization(fam, 12, seed=4)
+    assert not report.commuted
+    assert (report.samples_tested, report.skipped_nonunit) == (12, 0)
+
+    replay = random.Random(4)
+    primaries = sample_points(fam, 12, replay)
+    mod = fam.context.modulus
+    expected = []
+    for pt in primaries:
+        partner = tuple((x + 7 * replay.randrange(mod // 7)) % mod for x in pt)
+        expected += [FailureRecord(pt, generic, (generic + 1) % 3),
+                     FailureRecord(partner, generic, (generic + 1) % 3)]
+    assert report.failures == tuple(expected)
+
+    doc = report.to_json_dict()
+    assert doc["failures"] == [
+        {"point": list(r.point), "class_generic": generic, "class_special": (generic + 1) % 3}
+        for r in expected]
+    again = verify_factorization(fam, 12, seed=4)
+    assert again == report
+    assert json.dumps(again.to_json_dict()) == json.dumps(doc)
 
 
 def test_compiled_forms_leave_eq_hash_and_json_alone():

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -229,6 +230,19 @@ def test_nontrivial_frobenius_on_component_group():
     assert cg.group == FgAbelianGroup(0, (2, 2))
     assert not cg.frobenius_action.is_identity()
     assert h1_frobenius(cg) == FgAbelianGroup(0, (2,))
+
+
+def test_spec_json_roundtrip_keeps_the_component_group():
+    swap = mat([[0, 1], [1, 0]])
+    module = GaloisLatticeModule(2, (mat([[-1, 0], [0, -1]]), swap), inertia=(0,),
+                                 frobenius=swap)
+    for spec in (norm_torus_spec(6), TameTorusSpec(module)):
+        doc = json.loads(json.dumps(spec.to_json_dict()))
+        back = TameTorusSpec.from_json_dict(doc)
+        assert back.to_json_dict() == doc
+        cg, cg_back = component_group(spec), component_group(back)
+        assert cg_back == cg
+        assert h1_frobenius(cg_back) == h1_frobenius(cg)
 
 
 def test_cardinality_bridge_small():
