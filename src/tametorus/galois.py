@@ -8,6 +8,8 @@ procyclic action on a finitely generated abelian group.
 
 from __future__ import annotations
 
+import itertools
+import math
 import operator
 from functools import cached_property
 from typing import Optional, Sequence
@@ -58,10 +60,10 @@ class MatrixGroup:
     """A finite group of unimodular integer matrices, given by generators.
 
     A group closed from several generators carries its full element list.
-    A cyclic group <g> carries instead the orbit of v = (1, ..., n) that
-    certified it (see `close_group`): the points g^j v for j < L are
-    distinct and g^L = I, so its order is L, and g^j is its only element
-    that can send v to g^j v.  Its sorted `elements` are multiplied out
+    A cyclic group <g> carries instead the levels of g's order chain (see
+    `_order_levels`): its order is the product of their orbit lengths, and
+    membership sifts a matrix down them to the one exponent j it can have,
+    then checks it against g^j.  Its sorted `elements` are multiplied out
     only when first read.  Concurrent reads return equal results.
     """
 
@@ -70,13 +72,13 @@ class MatrixGroup:
         self.dimension = dimension
         self.generators = tuple(generators)
         self._elements: Optional[tuple[IntegerMatrix, ...]] = tuple(elements)
-        self._orbit: Optional[dict[tuple[int, ...], int]] = None
+        self._levels: Optional[list[tuple[tuple[int, ...], dict]]] = None
 
     @classmethod
     def _cyclic(cls, dimension: int, generators: Sequence[IntegerMatrix], g: IntegerMatrix,
-                orbit: dict[tuple[int, ...], int]) -> "MatrixGroup":
+                levels: list[tuple[tuple[int, ...], dict]]) -> "MatrixGroup":
         group = cls(dimension, generators, ())
-        group._elements, group._generator, group._orbit = None, g, orbit
+        group._elements, group._generator, group._levels = None, g, levels
         return group
 
     @property
@@ -91,17 +93,26 @@ class MatrixGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements) if self._orbit is None else len(self._orbit)
+        if self._levels is None:
+            return len(self.elements)
+        return math.prod(len(orbit) for _, orbit in self._levels)
 
     def __contains__(self, m: IntegerMatrix) -> bool:
         if not m.rows == m.cols == self.dimension:
             return False
-        if self._orbit is None:
+        if self._levels is None:
             return m.entries in self._element_keys
-        j = self._orbit.get(m.apply(range(1, m.cols + 1)))
-        if j is None:
-            return False
-        return m.is_identity() if j == 0 else m == _power(self._generator, j, operator.matmul)
+        g, j, period = self._generator, 0, 1  # m can only be g^j, j known mod period
+        for start, orbit in self._levels:
+            shift = -j % period  # then g^shift m is a power of g^period, this level's generator
+            point = m.apply(start)
+            for _ in range(shift):
+                point = g.apply(point)
+            t = orbit.get(point)
+            if t is None:
+                return False
+            j, period = (period * t - shift) % (period * len(orbit)), period * len(orbit)
+        return m.is_identity() if j == 0 else m == _power(g, j, operator.matmul)
 
     def __iter__(self):
         return iter(self.elements)
@@ -110,26 +121,10 @@ class MatrixGroup:
         return f"MatrixGroup(dimension={self.dimension}, order={self.order})"
 
 
-def _bits(entries: Sequence[int]) -> int:
-    """Bit length of the largest |entry|."""
-    return max(map(abs, entries), default=0).bit_length()
-
-
 def _words(entries: Sequence[int]) -> int:
     """Machine words per entry: 1 + b // 64, b the bit length of the
     largest |entry|."""
-    return 1 + _bits(entries) // 64
-
-
-class _Undecided(Exception):
-    """A one-generator walk met an entry past 63 bits, or g^L != I."""
-
-
-def _word_sized(m: IntegerMatrix) -> IntegerMatrix:
-    """m, if each entry fits in 63 bits; raises _Undecided otherwise."""
-    if _bits(m.entries) > 63:
-        raise _Undecided
-    return m
+    return 1 + max(map(abs, entries), default=0).bit_length() // 64
 
 
 def _power(m: IntegerMatrix, exponent: int, mul) -> IntegerMatrix:
@@ -145,38 +140,57 @@ def _power(m: IntegerMatrix, exponent: int, mul) -> IntegerMatrix:
         m = mul(m, m)
 
 
-def _orbit(step, start: tuple[int, ...], limit: int) -> Optional[dict[tuple[int, ...], int]]:
-    """The orbit of `start` as a dict from each point to its exponent,
-    walked by step(point, exponent) until `start` first comes back; None
-    when no power up to `limit` of the map fixes `start`: the orbit would
-    pass `limit` points, or it meets a point twice, so the map is not
-    injective and never brings `start` back."""
-    orbit = {start: 0}
-    point = step(start, 0)
-    while point != start:
-        if point in orbit or len(orbit) >= limit:
-            return None
-        orbit[point] = len(orbit)
-        point = step(point, orbit[point])
-    return orbit
+def _order_levels(h: IntegerMatrix, limit: int, stop, group: Optional[FgAbelianGroup] = None,
+                  wide=None) -> Optional[list[tuple[tuple[int, ...], dict]]]:
+    """The chain <h> > <h^L_0> > <h^(L_0 L_1)> > ... > 1 as a list of levels,
+    each a start vector and its orbit (point -> exponent) under the level's
+    generator h' = h^m: a round walks a start that h' moves until it comes
+    back, after L steps, then goes on with h'^L until h' = I, and h's order
+    is the product of the orbit lengths.  The starts are (1, ..., k), then
+    the basis.  h acts on Z^k, or on `group` with its reduction.
 
+    Steps and products are charged against ORDER_WORK_CAP: stop(proved) is
+    called once it is spent, and wide(proved, w), if given, before each step
+    from a point of w > 1 words; either may raise, knowing that no h^n with
+    0 < n <= proved is I.  Returns None when the order would pass `limit`,
+    or a walk meets a point twice (h is not injective).
+    """
+    k, ident = h.rows, IntegerMatrix.identity(h.rows)
+    first = tuple(range(1, k + 1)) if group is None else group.reduce(range(1, k + 1))
+    starts = itertools.chain([first], map(ident.col, range(k)))
+    levels, order, work = [], 1, 0
+    while h.entries != ident.entries:  # I is reduced, as every d_i >= 2
+        nonzero, words = len(h.entries) - h.entries.count(0), _words(h.entries)
+        for start in starts:  # h moves one of them, as h != I
+            orbit, point = {}, start
+            while point not in orbit:
+                if len(orbit) >= limit // order:
+                    return None
+                orbit[point] = j = len(orbit)  # no h^i with 0 < i <= j fixes the start
+                w = 1 + max(map(abs, point)).bit_length() // 64  # _words(point), inlined
+                work += k + nonzero * (w if w > words else words)
+                if work > ORDER_WORK_CAP:
+                    stop(order * (j or 1))
+                if w > 1 and wide:
+                    wide(order * (j or 1), w)
+                point = h.apply(point) if group is None else group.reduce(h.apply(point))
+            if point != start:
+                return None
+            if len(orbit) > 1:
+                break
+        levels.append((start, orbit))
+        period = len(orbit)
 
-def _cyclic_orbit(g: IntegerMatrix, limit: int) -> Optional[dict[tuple[int, ...], int]]:
-    """The orbit of (1, ..., n) under g, whose order is then its length L,
-    or None when no g^j with 0 < j <= limit fixes (1, ..., n).  Raises
-    _Undecided when an entry of g, of an orbit point or of a checked power
-    passes 63 bits, or when g^L != I."""
-    def step(v, _):
-        point = g.apply(v)
-        if _bits(point) > 63:
-            raise _Undecided
-        return point
-
-    orbit = _orbit(step, tuple(range(1, g.rows + 1)), limit)
-    if orbit is not None and not _power(_word_sized(g), len(orbit),
-                                        lambda a, b: _word_sized(a @ b)).is_identity():
-        raise _Undecided
-    return orbit
+        def mul(a, b):  # each entry of a, and k multiply-adds for each nonzero one
+            nonlocal work
+            w = _words(a.entries) if a is b else max(_words(a.entries), _words(b.entries))
+            work += k * (k + (k * k - a.entries.count(0)) * w)
+            if work > ORDER_WORK_CAP:
+                stop(order * period - 1)
+            return a @ b if group is None else _reduce_endo(group, a @ b)
+        h = _power(h, period, mul)
+        order *= period
+    return levels
 
 
 def _closure_walk(steps: Sequence[IntegerMatrix],
@@ -201,6 +215,14 @@ def _closure_walk(steps: Sequence[IntegerMatrix],
     return tuple(sorted(queue, key=lambda m: m.entries))
 
 
+def _check_units(steps: Sequence[IntegerMatrix]) -> None:
+    """Raises NotUnimodular for the first matrix whose determinant is not +/-1."""
+    for g in steps:
+        det = g.det()
+        if det not in (1, -1):
+            raise NotUnimodular(f"generator determinant {describe_int(det)} is not a unit")
+
+
 def close_group(generators: Sequence[IntegerMatrix], *,
                 dimension: Optional[int] = None) -> MatrixGroup:
     """Multiplicative closure of a set of unimodular matrices.
@@ -209,14 +231,12 @@ def close_group(generators: Sequence[IntegerMatrix], *,
     group (powers of each element cycle back to the identity).  Elements
     are returned in a deterministic canonical order.
 
-    When every distinct non-identity generator lies in <g> for the first
-    one, g, the group is cyclic and no element is multiplied out: g's
-    order is the length L of the orbit of one vector, confirmed by g^L = I
-    (which also proves det g = +/-1), and membership is one orbit lookup
-    and one power.  An orbit past the closure's caps is final too: after
-    the determinant check, ClosureCapExceeded is raised with no element
-    multiplied out.  Any other case, or a walk that cannot decide, takes
-    the breadth-first closure.
+    The first distinct non-identity generator g is decided by the orbit
+    rounds of `endomorphism_order` on Z^n, under the same budget, with no
+    element multiplied out (g^N = I also proves det g = +/-1).  When every
+    other generator lies in <g>, that is the group; otherwise all of them
+    take the breadth-first closure.  A walk past the closure's caps is
+    final, and det g is checked once a point passes one machine word.
 
     Raises NotUnimodular for a generator with determinant other than
     +/-1, and ClosureCapExceeded past DEFAULT_CLOSURE_CAP elements or
@@ -233,27 +253,29 @@ def close_group(generators: Sequence[IntegerMatrix], *,
     ident = IntegerMatrix.identity(dimension)
     # Repeats and the identity add nothing to the group.
     steps = [g for g in dict.fromkeys(gens) if g != ident]
-    orbit: Optional[dict] = {}  # empty: no orbit decided the group
-    if steps:
-        limit = min(DEFAULT_CLOSURE_CAP, CLOSURE_ENTRY_CAP // dimension ** 2)  # the closure's caps
-        try:
-            orbit = _cyclic_orbit(steps[0], limit)
-        except _Undecided:
-            pass
-    if orbit:
-        group = MatrixGroup._cyclic(dimension, gens, steps[0], orbit)
-        # Dimino's first rule: a generator already in <g> adds nothing.
-        if all(h in group for h in steps[1:]):
-            return group
+    g = steps[0] if steps else ident
+    entry_limit = CLOSURE_ENTRY_CAP // (dimension ** 2 or 1)  # elements of one word each
+    limit = min(DEFAULT_CLOSURE_CAP, entry_limit)  # the closure's caps
+    unchecked = [g]
 
-    for g in steps:
-        det = g.det()
-        if det not in (1, -1):
-            raise NotUnimodular(f"generator determinant {describe_int(det)} is not a unit")
-    if orbit is None:
-        # g^0, ..., g^limit are distinct (a point met twice makes det g = 0),
-        # so the closure would stop at a cap, after `limit` word-sized elements.
-        raise ClosureCapExceeded(f"closure of rank {dimension} exceeded {limit} elements")
+    def exceeded(count: int):  # the determinants decide first (g's, unless wide checked it)
+        _check_units(unchecked + steps[1:])
+        raise ClosureCapExceeded(f"closure of rank {dimension} exceeded {count} elements")
+
+    def wide(proved: int, point_words: int) -> None:
+        _check_units(unchecked)  # once: g^n may never be I if det g is not a unit
+        unchecked.clear()
+        if proved * point_words > entry_limit:  # proved elements of that size
+            exceeded(proved)
+
+    levels = _order_levels(g, limit, exceeded, wide=wide)
+    if levels is None:
+        exceeded(limit)
+    group = MatrixGroup._cyclic(dimension, gens, g, levels)
+    # Dimino's first rule: a generator already in <g> adds nothing.
+    if all(h in group for h in steps[1:]):
+        return group
+    _check_units(steps)
     return MatrixGroup(dimension, gens, _closure_walk(steps, dimension))
 
 
@@ -270,9 +292,10 @@ class GaloisLatticeModule:
     The constructor closes the full group (this rejects an infinite
     action) and the inertia group only when a Frobenius is given or a
     wild generator is not itself marked as inertia.  A cyclic group, such
-    as tame inertia acting through one generator, is validated by one
-    orbit walk and one power check, without its elements (see
-    `close_group`).
+    as tame inertia acting through one generator, is validated by the
+    orbit rounds that `endomorphism_order` also runs, without its elements
+    (see `close_group`).  `lattice_rank` and the indices are read with
+    operator.index, so a float raises TypeError.
     """
 
     def __init__(self, lattice_rank: int, generators: Sequence[IntegerMatrix],
@@ -281,7 +304,7 @@ class GaloisLatticeModule:
         self._assign(lattice_rank, generators, inertia, wild_inertia, frobenius)
 
         for g in self.generators:
-            if g.rows != lattice_rank or g.cols != lattice_rank:
+            if g.rows != self.lattice_rank or g.cols != self.lattice_rank:
                 raise ValueError("generator shape does not match lattice_rank")
         for idx in self.inertia_indices + self.wild_indices:
             if not 0 <= idx < len(self.generators):
@@ -294,7 +317,7 @@ class GaloisLatticeModule:
                     raise ValueError("wild inertia is not contained in inertia")
 
         if frobenius is not None:
-            if frobenius.rows != lattice_rank or frobenius.cols != lattice_rank:
+            if frobenius.rows != self.lattice_rank or frobenius.cols != self.lattice_rank:
                 raise ValueError("frobenius shape does not match lattice_rank")
             try:
                 f_inv = unimodular_inverse(frobenius)
@@ -305,10 +328,10 @@ class GaloisLatticeModule:
                     raise ValueError("frobenius does not normalize the inertia action")
 
     def _assign(self, lattice_rank, generators, inertia, wild_inertia, frobenius):
-        self.lattice_rank = lattice_rank
+        self.lattice_rank = operator.index(lattice_rank)
         self.generators = tuple(generators)
-        self.inertia_indices = tuple(inertia)
-        self.wild_indices = tuple(wild_inertia)
+        self.inertia_indices = tuple(map(operator.index, inertia))
+        self.wild_indices = tuple(map(operator.index, wild_inertia))
         self.frobenius = frobenius
         self._closures: dict[tuple[IntegerMatrix, ...], MatrixGroup] = {}
 
@@ -429,53 +452,26 @@ def _reduce_endo(group: FgAbelianGroup, matrix: IntegerMatrix) -> IntegerMatrix:
 
 def endomorphism_order(group: FgAbelianGroup, matrix: IntegerMatrix, *,
                        cap: int = DEFAULT_CLOSURE_CAP) -> int:
-    """Multiplicative order of `matrix` as an endomorphism of the group.
-
-    Read off orbits of reduced vectors in rounds, each step and product
-    charged against one ORDER_WORK_CAP budget.  With h = F^order, a round
-    walks a vector that h moves until it comes back, after L steps, and
-    takes h^L; as F^n = I only for multiples n of order * L, the order is
-    exact once h = I.  The vectors are (1, ..., k), then the basis; h^L
-    fixes each one walked, so h = I once all are fixed.
+    """Multiplicative order of `matrix` as an endomorphism of the group,
+    read off orbits of reduced vectors in rounds (see `_order_levels`;
+    `close_group` runs them on Z^n), each step and product charged
+    against one ORDER_WORK_CAP budget.
 
     Raises InfiniteOrder when no power within `cap` acts as the identity
     (in particular when the matrix is not invertible on the group), or
     once deciding the order would cost more than ORDER_WORK_CAP.
     """
     check_presented_endomorphism(group, matrix)
-    k = group.num_generators
-    h, order, work = _reduce_endo(group, matrix), 1, 0  # I is reduced, as every d_i >= 2
-    starts = iter((group.reduce(range(1, k + 1)), *map(IntegerMatrix.identity(k).col, range(k))))
+    cap, k = operator.index(cap), group.num_generators
 
-    def charge(units: int, proved: int) -> None:  # no F^n is I for 0 < n <= proved
-        nonlocal work
-        work += units
-        if work > ORDER_WORK_CAP:
-            raise InfiniteOrder(f"no power up to {proved} of the rank-{k} matrix acts as the "
-                                f"identity within {ORDER_WORK_CAP} work units")
+    def stop(proved: int) -> None:  # no F^n is I for 0 < n <= proved
+        raise InfiniteOrder(f"no power up to {proved} of the rank-{k} matrix acts as the "
+                            f"identity within {ORDER_WORK_CAP} work units")
 
-    while not h.is_identity():
-        nonzero, words = len(h.entries) - h.entries.count(0), _words(h.entries)
-
-        def step(vec, j):  # h != I, and no h^i with 0 < i <= j fixes the start
-            charge(k + nonzero * max(words, _words(vec)), order * max(j, 1))
-            return group.reduce(h.apply(vec))
-
-        for start in starts:  # h moves one of them, as h != I
-            orbit = _orbit(step, start, cap // order)
-            if orbit is None:
-                raise InfiniteOrder(f"no power up to {cap} acts as the identity")
-            if len(orbit) > 1:
-                break
-        period = len(orbit)
-
-        def mul(a, b):  # each entry of a, and k multiply-adds for each nonzero one
-            units = (k * k - a.entries.count(0)) * max(_words(a.entries), _words(b.entries))
-            charge(k * (k + units), order * period - 1)
-            return _reduce_endo(group, a @ b)
-        h = _power(h, period, mul)
-        order *= period
-    return order
+    levels = _order_levels(_reduce_endo(group, matrix), cap, stop, group)
+    if levels is None:
+        raise InfiniteOrder(f"no power up to {cap} acts as the identity")
+    return math.prod(len(orbit) for _, orbit in levels)
 
 
 def cyclic_h1(group: FgAbelianGroup, frobenius: IntegerMatrix) -> FgAbelianGroup:

@@ -62,6 +62,41 @@ def _permutation(cycles) -> IntegerMatrix:
 _ORDER_4620 = _permutation((3, 4, 5, 7, 11))
 
 
+def _unipotent(n: int) -> IntegerMatrix:
+    # I with row 3 set to (2, -1, 1, 0, ...): it fixes (1, ..., n), and its
+    # powers I + j (g - I) never come back to I.
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows[2][:3] = [2, -1, 1]
+    return mat(rows)
+
+
+def _conjugate_fixing_the_start_at_its_square(rng) -> IntegerMatrix:
+    # g = q P q^-1 with P = (0 1)(2 3 4) on Z^5 and q^-1 (1, ..., 5) = u
+    # constant on the 3-cycle, so g moves (1, ..., 5) and g^2 fixes it: its
+    # order 6 takes a second level.  q = E W, both of determinant 1: E =
+    # I + (v - u) e_0^T sends u to v = (1, ..., 5) (u_0 = v_0 = 1), and
+    # W = I + x y^T fixes u (y.u = y.x = 0).
+    c = rng.randint(-9, 9)
+    u = [1, rng.choice((-7, -2, 0, 3, 5)), c, c, c]
+    y = [rng.randint(-3, 3) for _ in range(4)] + [1]
+    y[0] -= sum(a * b for a, b in zip(y, u))
+    x = [rng.randint(-3, 3) for _ in range(4)] + [0]
+    x[4] = -sum(a * b for a, b in zip(x, y))
+    e = mat([[int(i == j) + (j == 0) * (i + 1 - u[i]) for j in range(5)] for i in range(5)])
+    w = mat([[int(i == j) + x[i] * y[j] for j in range(5)] for i in range(5)])
+    q = e @ w
+    return q @ _permutation((2, 3)) @ unimodular_inverse(q)
+
+
+def _orbit_length(g: IntegerMatrix) -> int:
+    start = point = tuple(range(1, g.rows + 1))
+    length = 0
+    while True:
+        point, length = g.apply(point), length + 1
+        if point == start:
+            return length
+
+
 def _count_products(monkeypatch) -> list:
     products = []
     matmul = IntegerMatrix.__matmul__
@@ -178,15 +213,17 @@ class TestCyclicClosureAgainstProducts:
     @staticmethod
     def assert_same_group(g, rng):
         ref = closure_by_products([g])
-        got = close_group([g])
-        assert got.order == ref.order
-        members = list(ref.elements)
-        assert all(m in got for m in members)
-        others = [random_signed_permutation(rng, g.rows) for _ in range(10)]
-        others += [m.scale(2) for m in members[:3]] + [IntegerMatrix.identity(g.rows + 1)]
-        for m in others:
-            assert (m in got) == (m in ref)
-        assert got.elements == ref.elements
+        with pytest.MonkeyPatch.context() as patch:  # one generator walks no closure
+            patch.setattr(galois, "_closure_walk", lambda *args: pytest.fail("closure walked"))
+            got = close_group([g])
+            assert got.order == ref.order
+            members = list(ref.elements)
+            assert all(m in got for m in members)
+            others = [random_signed_permutation(rng, g.rows) for _ in range(10)]
+            others += [m.scale(2) for m in members[:3]] + [IntegerMatrix.identity(g.rows + 1)]
+            for m in others:
+                assert (m in got) == (m in ref)
+        assert got.elements == ref.elements  # reading them walks the closure
         return got
 
     def test_signed_permutations(self):
@@ -230,7 +267,28 @@ class TestCyclicClosureAgainstProducts:
         det = IntegerMatrix.det
         monkeypatch.setattr(IntegerMatrix, "det", lambda m: dets.append(1) or det(m))
         assert self.assert_same_group(g, random.Random(2)).order == 12
-        assert len(dets) == 2  # the reference's and the fallback closure's
+        assert len(dets) == 2  # the reference's and the walk's, once a point passed 63 bits
+
+    def test_starts_fixed_by_g_take_further_levels(self):
+        # g != I fixes (1, ..., n), or g^2 does: the chain walks the basis
+        # next, and membership sifts through both levels.
+        rng = random.Random(16_2611)
+        gens = [mat([[-1, 1, 0], [0, 1, 0], [0, 0, 1]])]
+        gens += [_conjugate_fixing_the_start_at_its_square(rng) for _ in range(8)]
+        for g in gens:
+            got = self.assert_same_group(g, rng)
+            assert _orbit_length(g) < got.order == (2 if g.rows == 3 else 6)
+
+    def test_a_unipotent_generator_fixing_the_start_walks_no_closure(self, monkeypatch):
+        monkeypatch.setattr(galois, "_closure_walk", lambda *args: pytest.fail("closure walked"))
+        start = time.perf_counter()
+        with pytest.raises(ClosureCapExceeded) as info:
+            close_group([_unipotent(64)])
+        assert time.perf_counter() - start < 1.0
+        assert str(info.value) == "closure of rank 64 exceeded 4064 elements"
+        with pytest.raises(ClosureCapExceeded) as info:
+            close_group([_unipotent(256)])
+        assert str(info.value) == "closure of rank 256 exceeded 254 elements"
 
     def test_non_unit_determinant_stops_within_64_steps(self, monkeypatch):
         steps = []
@@ -269,6 +327,31 @@ class TestCyclicClosureAgainstProducts:
                 closure([shear])
             details.append(str(info.value))
         assert details[0] == details[1] == "closure of rank 2 exceeded 10000 elements"
+
+
+class TestOneOrder:
+    """close_group and endomorphism_order read g's order off the same rounds."""
+
+    def test_finite_orders_agree(self):
+        from tametorus.torus import norm_torus_spec
+
+        rng = random.Random(16_2612)
+        gens = [norm_torus_spec(e).characters.generators[0] for e in range(2, 41)]
+        for _ in range(30):
+            n = rng.randrange(1, 9)
+            q = random_unimodular(rng, n, steps=4)
+            gens.append(q @ random_signed_permutation(rng, n) @ unimodular_inverse(q))
+        gens += [conjugated_cycles(rng, c) for c in ([2, 3], [4, 4, 1], [5, 2], [6], [2, 3, 4])]
+        gens += [_conjugate_fixing_the_start_at_its_square(rng) for _ in range(4)]
+        for g in gens:
+            assert close_group([g]).order == endomorphism_order(FgAbelianGroup.free(g.rows), g)
+
+    def test_infinite_orders_agree(self):
+        for g in (mat([[1, 1], [0, 1]]), _unipotent(5)):
+            with pytest.raises(ClosureCapExceeded):
+                close_group([g])
+            with pytest.raises(InfiniteOrder):
+                endomorphism_order(FgAbelianGroup.free(g.rows), g)
 
 
 class TestModuleValidation:
@@ -609,6 +692,11 @@ class TestEndomorphismOrder:
         assert endomorphism_order(FgAbelianGroup(1, (n,)), mat([[1, 1], [0, 1]])) == n
         # Only the rounds' power checks multiply: F^(n/2), then its square.
         assert len(products) <= 2 * (n // 2).bit_length() + 1
+
+    def test_cap_is_read_as_an_integer(self):
+        with pytest.raises(InfiniteOrder) as info:
+            endomorphism_order(FgAbelianGroup.free(2), mat([[1, 1], [0, 1]]), cap=True)
+        assert str(info.value) == "no power up to 1 acts as the identity"
 
     def test_one_call_charges_one_budget(self, monkeypatch):
         # Under the shear on Z^2 a walk step costs 2 + 3 units (the rank and

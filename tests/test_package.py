@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import tametorus
+from tametorus.galois import GaloisLatticeModule, endomorphism_order
 from tametorus.lattice import FgAbelianGroup, IntegerMatrix
 from tametorus.padic import PadicContext, PadicInt
 from tametorus.torsor import MultivariatePolynomial, NormTorsorFamily, evaluate, reduce_point
@@ -70,6 +71,9 @@ def test_docstring_examples_pass():
     assert sum(r.attempted for r in results) >= 5
 
 
+_NEG1 = IntegerMatrix.from_rows([[-1]])
+_SWAP = IntegerMatrix.from_rows([[0, 1], [1, 0]])
+
 NON_INTEGERS = {
     "from-rows-float": lambda: IntegerMatrix.from_rows([[2.7]]),
     "from-rows-fraction": lambda: IntegerMatrix.from_rows([[Fraction(5, 2)]]),
@@ -86,6 +90,10 @@ NON_INTEGERS = {
     "context-precision-float": lambda: PadicContext(5, 2.5),
     "context-prime-float": lambda: PadicContext(5.0, 4),
     "padic-int-fraction": lambda: PadicInt(PadicContext(5, 4), Fraction(7, 2)),
+    "order-cap-float": lambda: endomorphism_order(FgAbelianGroup.free(1), _NEG1, cap=2.5),
+    "module-rank-float": lambda: GaloisLatticeModule(2.0, (_SWAP,)),
+    "module-inertia-float": lambda: GaloisLatticeModule(2, (_SWAP,), inertia=(0.0,)),
+    "module-wild-float": lambda: GaloisLatticeModule(2, (_SWAP,), (0,), wild_inertia=(0.0,)),
 }
 
 
