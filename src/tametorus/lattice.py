@@ -203,6 +203,7 @@ class IntegerMatrix:
         return IntegerMatrix(self.rows, self.cols, tuple(-x for x in self.entries))
 
     def scale(self, c: int) -> "IntegerMatrix":
+        c = operator.index(c)
         return IntegerMatrix(self.rows, self.cols, tuple(c * x for x in self.entries))
 
     @cached_property
@@ -285,41 +286,54 @@ class SnfResult:
 
 def _row_gcd_op(S, W, t, i):
     # Unimodular 2x2 row transform making S[t][t] = gcd and S[i][t] = 0.
-    # Every caller has S[t][t] != 0 and S[i][t] != 0.
+    # Every caller has S[t][t] != 0 and S[i][t] != 0, and rows t and i of S
+    # zero left of column t, so S is updated from column t on.
     a, b = S[t][t], S[i][t]
     if b % a == 0:
         q = b // a
-        for M in (S, W):
+        for M, lo in ((S, t), (W, 0)):
             Mt, Mi = M[t], M[i]
-            for j in range(len(Mi)):
+            for j in range(lo, len(Mi)):
                 Mi[j] -= q * Mt[j]
         return
     g, x, y = _xgcd(a, b)
     ag, bg = a // g, b // g
-    for M in (S, W):
+    for M, lo in ((S, t), (W, 0)):
         Mt, Mi = M[t], M[i]
-        for j in range(len(Mt)):
+        for j in range(lo, len(Mt)):
             u, v = Mt[j], Mi[j]
             Mt[j] = x * u + y * v
             Mi[j] = -bg * u + ag * v
 
 
 def _col_gcd_op(S, W, t, j):
-    # Column analogue of _row_gcd_op, acting on S and the right transform W.
+    # Column analogue of _row_gcd_op for an S[t][j] that S[t][t] does not
+    # divide, acting on S and the right transform W.  Rows of S above t are
+    # zero in columns t and j, and a row zero in both stays zero.
     a, b = S[t][t], S[t][j]
-    if b % a == 0:
-        q = b // a
-        for M in (S, W):
-            for row in M:
-                row[j] -= q * row[t]
-        return
     g, x, y = _xgcd(a, b)
     ag, bg = a // g, b // g
-    for M in (S, W):
+    for M in (S[t:], W):
         for row in M:
             u, v = row[t], row[j]
-            row[t] = x * u + y * v
-            row[j] = -bg * u + ag * v
+            if u or v:
+                row[t] = x * u + y * v
+                row[j] = -bg * u + ag * v
+
+
+def _col_div_ops(S, W, t, js):
+    # Column j -= (S[t][j] // S[t][t]) * column t for each j in js, every
+    # S[t][j] a nonzero multiple of S[t][t].  Each step reads column t and
+    # writes only its own column, so one pass over the rows with a nonzero
+    # in column t applies them all; rows of S above t are zero there.
+    a = S[t][t]
+    qs = [(j, S[t][j] // a) for j in js]
+    for M in (S[t:], W):
+        for row in M:
+            u = row[t]
+            if u:
+                for j, q in qs:
+                    row[j] -= q * u
 
 
 def smith_normal_form(A: IntegerMatrix) -> SnfResult:
@@ -328,7 +342,11 @@ def smith_normal_form(A: IntegerMatrix) -> SnfResult:
     U and V are unimodular; S is diagonal with nonnegative entries
     satisfying d_i | d_{i+1}, zeros last.  Pivots are chosen with minimal
     absolute value to limit coefficient growth, and each pivot's sign is
-    settled as soon as the pivot is final.
+    settled as soon as the pivot is final.  Steps skip entries known to be
+    zero: row steps start at the pivot column, column steps skip the rows
+    of S above the pivot and rows zero in both columns, and the column
+    steps the pivot divides run as one pass over the rows with a nonzero
+    in the pivot column.  U, S and V are the same as without the skips.
 
     >>> smith_normal_form(IntegerMatrix.from_rows([[2, 4], [6, 8]])).diagonal()
     (2, 4)
@@ -361,22 +379,33 @@ def smith_normal_form(A: IntegerMatrix) -> SnfResult:
             S[t], S[i0] = S[i0], S[t]
             U[t], U[i0] = U[i0], U[t]
         if j0 != t:
-            for M in (S, V):
+            for M in (S[t:], V):
                 for row in M:
                     row[t], row[j0] = row[j0], row[t]
         while True:
             for i in range(t + 1, m):
                 if S[i][t]:
                     _row_gcd_op(S, U, t, i)
+            # The entries of row t the pivot divides are cleared in batches,
+            # each ending where a gcd step must change column t.
+            St, batch = S[t], []
             for j in range(t + 1, n):
-                if S[t][j]:
+                if St[j]:
+                    if St[j] % St[t] == 0:
+                        batch.append(j)
+                        continue
+                    if batch:
+                        _col_div_ops(S, V, t, batch)
+                        batch = []
                     _col_gcd_op(S, V, t, j)
+            if batch:
+                _col_div_ops(S, V, t, batch)
             # Row t is clear: each column step zeroes its S[t][j] for good.
             if all(S[i][t] == 0 for i in range(t + 1, m)):
                 break
         # Pivot t is final: no later step touches row t of S or U.
         if S[t][t] < 0:
-            S[t] = [-x for x in S[t]]
+            S[t][t] = -S[t][t]
             U[t] = [-x for x in U[t]]
         t += 1
 
@@ -389,12 +418,12 @@ def smith_normal_form(A: IntegerMatrix) -> SnfResult:
             a, b = S[i][i], S[i + 1][i + 1]
             if b % a != 0:
                 changed = True
-                for M in (S, V):
+                for M in (S[i:], V):
                     for row in M:
                         row[i] += row[i + 1]
                 _row_gcd_op(S, U, i, i + 1)
                 # S[i][i] = g = gcd(a,b), S[i+1][i+1] = ab/g > 0; clear y*b != 0 at (i, i+1).
-                _col_gcd_op(S, V, i, i + 1)
+                _col_div_ops(S, V, i, [i + 1])
 
     return SnfResult(
         U=IntegerMatrix.from_rows(U, cols=m),

@@ -194,9 +194,9 @@ class NormClass:
     value: int
 
     def __post_init__(self) -> None:
-        if self.e < 1:
+        if operator.index(self.e) < 1:
             raise ValueError("e must be positive")
-        if not 0 <= self.value < self.e:
+        if not 0 <= operator.index(self.value) < self.e:
             raise ValueError(f"value {self.value} out of range for Z/{self.e}")
 
     def __add__(self, other: "NormClass") -> "NormClass":
@@ -209,8 +209,9 @@ class NormClass:
 
 
 def check_degree(p: int, e: int) -> None:
-    """Raise DegreeIncompatible unless e is positive and divides p - 1."""
-    if e < 1:
+    """Raise DegreeIncompatible unless e is positive and divides p - 1;
+    a non-integer e raises TypeError."""
+    if operator.index(e) < 1:
         raise DegreeIncompatible("e must be positive")
     if (p - 1) % e != 0:
         raise DegreeIncompatible(f"e = {e} does not divide p - 1 = {p - 1}")

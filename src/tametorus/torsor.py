@@ -81,7 +81,7 @@ class MultivariatePolynomial:
     terms: tuple[tuple[int, tuple[int, ...]], ...]
 
     def __post_init__(self) -> None:
-        if self.n_vars < 0:
+        if operator.index(self.n_vars) < 0:
             raise ValueError("n_vars must be nonnegative")
         combined: dict[tuple[int, ...], int] = {}
         for coeff, exps in self.terms:

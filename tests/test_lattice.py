@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 
@@ -112,18 +113,25 @@ def _scrambled_diagonal(rng, n):
 
 
 def test_gcd_steps_meet_the_preconditions_the_smith_form_relies_on(monkeypatch):
-    # Each gcd step finds a nonzero pivot and a nonzero entry to clear.
-    # The divisibility pass (the calls made once the main loop has bound
-    # `r`, the number of nonzero pivots) finds every one of those pivots
-    # positive and leaves them positive, so no sign fix-up is needed.
-    calls = {"main": 0, "pass": 0}
+    # Each gcd step finds a nonzero pivot and a nonzero entry to clear, and
+    # each batch of divisible column steps finds a nonzero pivot and entries
+    # that are nonzero multiples of it.  The divisibility pass (the calls
+    # made once the main loop has bound `r`, the number of nonzero pivots)
+    # finds every one of those pivots positive and leaves them positive, so
+    # no sign fix-up is needed.
+    calls = {"main": 0, "pass": 0, "batch": 0, "batch-pass": 0}
 
-    def checked(op, cleared):
+    def checked(op, cleared, divisible=False):
         def wrapped(S, W, t, k):
             assert S[t][t] != 0
-            assert cleared(S, t, k) != 0
+            entries = cleared(S, t, k)
+            assert entries and all(x != 0 for x in entries)
+            if divisible:
+                assert all(x % S[t][t] == 0 for x in entries)
             r = sys._getframe(1).f_locals.get("r")
             calls["main" if r is None else "pass"] += 1
+            if divisible:
+                calls["batch" if r is None else "batch-pass"] += 1
             if r is not None:
                 assert all(S[x][x] > 0 for x in range(r))
             op(S, W, t, k)
@@ -132,9 +140,12 @@ def test_gcd_steps_meet_the_preconditions_the_smith_form_relies_on(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(lattice, "_row_gcd_op",
-                        checked(lattice._row_gcd_op, lambda S, t, i: S[i][t]))
+                        checked(lattice._row_gcd_op, lambda S, t, i: [S[i][t]]))
     monkeypatch.setattr(lattice, "_col_gcd_op",
-                        checked(lattice._col_gcd_op, lambda S, t, j: S[t][j]))
+                        checked(lattice._col_gcd_op, lambda S, t, j: [S[t][j]]))
+    monkeypatch.setattr(lattice, "_col_div_ops",
+                        checked(lattice._col_div_ops, lambda S, t, js: [S[t][j] for j in js],
+                                divisible=True))
     rng = random.Random(20261019)
     small = [random_matrix(rng, max_dim=5, lo=rng.choice([-3, -20]), hi=rng.choice([3, 20]))
              for _ in range(150)]
@@ -142,13 +153,66 @@ def test_gcd_steps_meet_the_preconditions_the_smith_form_relies_on(monkeypatch):
     for a in small:
         r = assert_snf_contract(a)
         assert tuple(x for x in r.diagonal() if x) == invariant_factors_by_minors(a)
+    assert calls["batch-pass"] > 0
+    batches = calls["batch"]
     for n in (20, 22, 24, 26):
         # The fixed large matrices of the lattice_tower benchmark.
         rows_rng = random.Random(f"snf-fixed-{n}")
         a = mat([[rows_rng.randint(-20, 20) for _ in range(n)] for _ in range(n)])
         r = smith_normal_form(a)
         assert r.U @ a @ r.V == r.S
+    assert calls["batch"] > batches
     assert calls["main"] > 0 and calls["pass"] > 0
+
+
+def _pinned_snf_inputs():
+    rng = random.Random("snf-pinned")
+    out = []
+    for _ in range(300):
+        m, n = rng.randint(0, 13), rng.randint(0, 13)
+        bound = rng.choice([1, 3, 20, 10**6])
+        density = rng.choice([0.15, 0.4, 1.0])
+        rows = [[rng.randint(-bound, bound) if rng.random() < density else 0
+                 for _ in range(n)] for _ in range(m)]
+        shape = rng.randrange(4)
+        if shape == 1 and min(m, n) > 1:
+            # Rank at most k < min(m, n): a product through a narrow middle.
+            k = rng.randrange(1, min(m, n))
+            left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)]
+            right = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(k)]
+            rows = [[sum(left[i][x] * right[x][j] for x in range(k)) for j in range(n)]
+                    for i in range(m)]
+        elif shape == 2 and m:
+            rows[rng.randrange(m)] = [0] * n
+        elif shape == 3 and n:
+            j = rng.randrange(n)
+            for row in rows:
+                row[j] = 0
+        out.append(IntegerMatrix.from_rows(rows, cols=n))
+    for n in (20, 26):
+        dense_rng = random.Random(f"snf-fixed-{n}")
+        out.append(mat([[dense_rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]))
+    for e in list(range(2, 41)) + [64]:
+        sigma = norm_torus_spec(e).characters.generators[0]
+        ident = IntegerMatrix.identity(e - 1)
+        out += [sigma, sigma - ident, unimodular_inverse(sigma).transpose() - ident]
+    return out
+
+
+def test_transforms_are_pinned():
+    # SHA-256 of U, S and V over a fixed set of matrices: seeded random ones
+    # up to 13x13 (sparse and dense, small and large entries, rank-deficient,
+    # non-square, with zero rows or columns), the dense 20x20 and 26x26 of
+    # the lattice_tower benchmark, and the norm-torus matrices sigma,
+    # sigma - I and sigma^-T - I for e = 2..40 and 64.  A change to the
+    # Smith form that alters any transform entry changes the digest.
+    digest = hashlib.sha256()
+    for a in _pinned_snf_inputs():
+        r = smith_normal_form(a)
+        for m in (r.U, r.S, r.V):
+            digest.update(f"{m.rows}x{m.cols}:{','.join(map(hex, m.entries))};".encode())
+    assert digest.hexdigest() == (
+        "b1f73981bfd7d9703fe75ab3d7a19df6c759ad293585f8c7a1881fad4ea33e14")
 
 
 class TestCokernel:

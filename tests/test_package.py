@@ -12,7 +12,7 @@ import pytest
 import tametorus
 from tametorus.galois import GaloisLatticeModule, endomorphism_order
 from tametorus.lattice import FgAbelianGroup, IntegerMatrix
-from tametorus.padic import PadicContext, PadicInt
+from tametorus.padic import NormClass, PadicContext, PadicInt, dlog_steps
 from tametorus.torsor import MultivariatePolynomial, NormTorsorFamily, evaluate, reduce_point
 
 PACKAGE = Path(tametorus.__file__).parent
@@ -94,6 +94,13 @@ NON_INTEGERS = {
     "module-rank-float": lambda: GaloisLatticeModule(2.0, (_SWAP,)),
     "module-inertia-float": lambda: GaloisLatticeModule(2, (_SWAP,), inertia=(0.0,)),
     "module-wild-float": lambda: GaloisLatticeModule(2, (_SWAP,), (0,), wild_inertia=(0.0,)),
+    "torsor-degree-float": lambda: NormTorsorFamily(
+        PadicContext(7, 4), 3.0, MultivariatePolynomial(1, ((1, (1,)),))),
+    "dlog-steps-degree-float": lambda: dlog_steps(7, 3.0),
+    "polynomial-n-vars-float": lambda: MultivariatePolynomial(1.0, ((1, (1,)),)),
+    "matrix-scale-float": lambda: IntegerMatrix.identity(2).scale(1.5),
+    "norm-class-degree-float": lambda: NormClass(3.0, 1),
+    "norm-class-value-float": lambda: NormClass(3, 1.0),
 }
 
 
