@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional, Sequence
 
 from .errors import ClosureCapExceeded, InfiniteOrder, NotUnimodular, describe_int
@@ -20,6 +20,7 @@ from .lattice import (
     FgAbelianGroup,
     IntegerMatrix,
     LatticeQuotient,
+    det_rows,
     hstack,
     json_dimension,
     json_int,
@@ -141,7 +142,7 @@ def _power(m: IntegerMatrix, exponent: int, mul) -> IntegerMatrix:
 
 
 def _order_levels(h: IntegerMatrix, limit: int, stop, group: Optional[FgAbelianGroup] = None,
-                  wide=None) -> Optional[list[tuple[tuple[int, ...], dict]]]:
+                  wide=None, repeat=None) -> Optional[list[tuple[tuple[int, ...], dict]]]:
     """The chain <h> > <h^L_0> > <h^(L_0 L_1)> > ... > 1 as a list of levels,
     each a start vector and its orbit (point -> exponent) under the level's
     generator h' = h^m: a round walks a start that h' moves until it comes
@@ -153,7 +154,7 @@ def _order_levels(h: IntegerMatrix, limit: int, stop, group: Optional[FgAbelianG
     called once it is spent, and wide(proved, w), if given, before each step
     from a point of w > 1 words; either may raise, knowing that no h^n with
     0 < n <= proved is I.  Returns None when the order would pass `limit`,
-    or a walk meets a point twice (h is not injective).
+    or, when a walk meets a point twice (h is not injective), repeat() or None.
     """
     k, ident = h.rows, IntegerMatrix.identity(h.rows)
     first = tuple(range(1, k + 1)) if group is None else group.reduce(range(1, k + 1))
@@ -175,7 +176,7 @@ def _order_levels(h: IntegerMatrix, limit: int, stop, group: Optional[FgAbelianG
                     wide(order * (j or 1), w)
                 point = h.apply(point) if group is None else group.reduce(h.apply(point))
             if point != start:
-                return None
+                return repeat() if repeat else None
             if len(orbit) > 1:
                 break
         levels.append((start, orbit))
@@ -462,13 +463,22 @@ def endomorphism_order(group: FgAbelianGroup, matrix: IntegerMatrix, *,
     once deciding the order would cost more than ORDER_WORK_CAP.
     """
     check_presented_endomorphism(group, matrix)
-    cap, k = operator.index(cap), group.num_generators
+    cap, k, t = operator.index(cap), group.num_generators, len(group.invariant_factors)
 
     def stop(proved: int) -> None:  # no F^n is I for 0 < n <= proved
         raise InfiniteOrder(f"no power up to {proved} of the rank-{k} matrix acts as the "
                             f"identity within {ORDER_WORK_CAP} work units")
 
-    levels = _order_levels(_reduce_endo(group, matrix), cap, stop, group)
+    def not_invertible(why: str = "a walk met a point twice") -> None:
+        raise InfiniteOrder(f"the rank-{k} matrix is not invertible on the group: {why}")
+
+    free_det = cache(lambda: det_rows([r[t:] for r in matrix.to_rows()[t:]]))
+
+    def wide(proved: int, point_words: int) -> None:  # torsion maps to torsion, so F^n = I
+        if free_det() not in (1, -1):  # needs a free block of determinant +/-1
+            not_invertible(f"its free block has determinant {describe_int(free_det())}")
+
+    levels = _order_levels(_reduce_endo(group, matrix), cap, stop, group, wide, not_invertible)
     if levels is None:
         raise InfiniteOrder(f"no power up to {cap} acts as the identity")
     return math.prod(len(orbit) for _, orbit in levels)

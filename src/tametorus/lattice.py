@@ -109,7 +109,7 @@ class IntegerMatrix:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+        if operator.index(self.rows) < 0 or operator.index(self.cols) < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(self.entries) != self.rows * self.cols:
             raise ValueError(
@@ -171,19 +171,18 @@ class IntegerMatrix:
         return IntegerMatrix(self.cols, self.rows, tuple(flat))
 
     def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
+        """Product over nonzero entries: each nonzero self[i, t] times other's cached row t."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        m, k, n = self.rows, self.cols, other.cols
-        flat = [0] * (m * n)
-        a, b = self.entries, other.entries
-        for i in range(m):
-            for t in range(k):
-                ait = a[i * k + t]
-                if ait:
-                    base = t * n
-                    for j in range(n):
-                        flat[i * n + j] += ait * b[base + j]
-        return IntegerMatrix(m, n, tuple(flat))
+        n, pairs, flat = other.cols, other._row_pairs, []
+        for i in range(self.rows):
+            acc = [0] * n
+            for t, x in enumerate(self.row(i)):
+                if x:
+                    for j, y in pairs[t]:
+                        acc[j] += x * y
+            flat += acc
+        return IntegerMatrix(self.rows, n, tuple(flat))
 
     def __add__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -207,16 +206,22 @@ class IntegerMatrix:
         return IntegerMatrix(self.rows, self.cols, tuple(c * x for x in self.entries))
 
     @cached_property
-    def _row_pairs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+    def _row_pairs(self) -> tuple[list[tuple[int, int]], ...]:
         # Each row as the (column, entry) pairs of its nonzero entries.
-        return tuple(tuple((j, x) for j, x in enumerate(self.row(i)) if x)
+        return tuple([(j, x) for j, x in enumerate(self.row(i)) if x]
                      for i in range(self.rows))
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """Matrix-vector product, multiplying only the nonzero entries."""
+        """Matrix-vector product over each row's cached (column, nonzero entry) pairs."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(x * vec[j] for j, x in row) for row in self._row_pairs)
+        out = []
+        for row in self._row_pairs:
+            acc = 0
+            for j, x in row:
+                acc += x * vec[j]
+            out.append(acc)
+        return tuple(out)
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and self.entries == IntegerMatrix.identity(self.rows).entries

@@ -57,6 +57,18 @@ def apply_dense(m: IntegerMatrix, vec) -> tuple[int, ...]:
                  for i in range(m.rows))
 
 
+def matmul_dense(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
+    """Matrix product over every entry, zeros included (reference)."""
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+    flat = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            flat.append(sum(a.entries[i * a.cols + t] * b.entries[t * b.cols + j]
+                            for t in range(a.cols)))
+    return IntegerMatrix(a.rows, b.cols, tuple(flat))
+
+
 def from_cols_by_entries(cols, rows=None) -> IntegerMatrix:
     """IntegerMatrix.from_cols placing each entry at its row-major index
     (reference)."""

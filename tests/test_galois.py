@@ -683,6 +683,28 @@ class TestEndomorphismOrder:
         with pytest.raises(InfiniteOrder):
             endomorphism_order(FgAbelianGroup.cyclic(4), mat([[2]]))
 
+    @pytest.mark.parametrize("group, f, det", [
+        (FgAbelianGroup.free(64), IntegerMatrix.identity(64).scale(2), 2 ** 64),
+        (FgAbelianGroup.free(16), mat([[1 + (i == j) for j in range(16)] for i in range(16)]), 17),
+        (FgAbelianGroup.free(48), mat([[1 + (i == j) for j in range(48)] for i in range(48)]), 49),
+        (FgAbelianGroup(1, (2,)), mat([[1, 1], [0, 3]]), 3),
+    ], ids=["2I-rank-64", "ones-plus-I-rank-16", "ones-plus-I-rank-48", "mixed-free-3"])
+    def test_a_free_block_of_non_unit_determinant_stops_the_walk(self, group, f, det):
+        # Torsion maps to torsion, so a finite order needs the free block's
+        # determinant to be +/-1; it is taken once a point passes one word.
+        start = time.perf_counter()
+        with pytest.raises(InfiniteOrder) as info:
+            cyclic_h1(group, f)
+        assert time.perf_counter() - start < 0.2
+        assert str(info.value) == (f"the rank-{f.rows} matrix is not invertible on the group: "
+                                   f"its free block has determinant {det}")
+
+    def test_a_walk_that_meets_a_point_twice_names_non_injectivity(self):
+        with pytest.raises(InfiniteOrder) as info:
+            endomorphism_order(FgAbelianGroup.cyclic(4), mat([[2]]))
+        assert str(info.value) == ("the rank-1 matrix is not invertible on the group: "
+                                   "a walk met a point twice")
+
     @pytest.mark.parametrize("n", [2, 1000])
     def test_an_orbit_that_closes_short_of_the_order_takes_another_round(self, monkeypatch, n):
         # On Z/n (+) Z, F = [[1, 1], [0, 1]] has order n, but the walk of

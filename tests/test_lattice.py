@@ -1,4 +1,5 @@
 import hashlib
+import operator
 import random
 import sys
 
@@ -32,6 +33,7 @@ from helpers import (
     apply_dense,
     from_cols_by_entries,
     invariant_factors_by_minors,
+    matmul_dense,
     random_matrix,
     random_unimodular,
     vstack_by_rows,
@@ -512,6 +514,52 @@ class TestMatrixPrimitivesAgainstReferences:
                         tuple(rng.randint(-2 ** 80, 2 ** 80) for _ in range(m.cols))):
                 assert m.apply(vec) == apply_dense(m, vec)
                 assert m.apply(vec) == apply_dense(m, vec)  # from the cached rows
+
+    def test_matmul_matches_the_dense_product(self):
+        rng = random.Random(41)
+        pairs = []
+        for e in (2, 3, 7, 16, 33):
+            g = norm_torus_spec(e).characters.generators[0]
+            powers = [g]
+            for _ in range(e - 1):  # g^e = I, so these are all the powers
+                powers.append(matmul_dense(powers[-1], g))
+            pairs += [(power, g) for power in powers] + [(g, power) for power in powers]
+            pairs += [(rng.choice(powers), rng.choice(powers)) for _ in range(6)]
+        for _ in range(60):
+            m, k, n = (rng.randint(1, 7) for _ in range(3))
+            a, b = _sized(rng, m, k), _sized(rng, k, n)
+            if rng.random() < 0.5:  # zero rows of a and zero columns of b
+                a = IntegerMatrix.from_rows(
+                    [[0] * k if rng.random() < 0.4 else a.row(i) for i in range(m)], cols=k)
+                b = IntegerMatrix.from_cols(
+                    [[0] * k if rng.random() < 0.4 else b.col(j) for j in range(n)], rows=k)
+            pairs.append((a, b))
+        big = 2 ** 80
+        for _ in range(20):
+            m, k, n = (rng.randint(1, 5) for _ in range(3))
+            pairs.append((_sized(rng, m, k, -big, big), _sized(rng, k, n, -big, big)))
+        pairs.append((mat([[big, -big], [0, 1]]), mat([[-big, 1, 0], [big, 0, -big]])))
+        for k in range(4):
+            for other in range(4):
+                pairs.append((IntegerMatrix.zero(0, k), _sized(rng, k, other)))
+                pairs.append((_sized(rng, other, 0), IntegerMatrix.zero(0, k)))
+        for a, b in pairs:
+            expected = matmul_dense(a, b)
+            assert a @ b == expected
+            assert a @ b == expected  # from the cached rows of b
+            for m in (a, b):
+                copy = IntegerMatrix(m.rows, m.cols, m.entries)
+                assert m == copy and hash(m) == hash(copy) and {copy: 1}[m] == 1
+
+    def test_matmul_keeps_its_shape_mismatch_error(self):
+        for a, b, message in ((mat([[1, 2]]), mat([[1, 2]]), "shape mismatch: 1x2 @ 1x2"),
+                              (IntegerMatrix.zero(2, 0), mat([[1]]), "shape mismatch: 2x0 @ 1x1"),
+                              (IntegerMatrix.zero(3, 2), IntegerMatrix.zero(3, 2),
+                               "shape mismatch: 3x2 @ 3x2")):
+            for product in (operator.matmul, matmul_dense):
+                with pytest.raises(ValueError) as info:
+                    product(a, b)
+                assert str(info.value) == message
 
     def test_apply_rejects_a_vector_of_the_wrong_length(self):
         m = mat([[1, 0, 2], [0, 0, 0]])

@@ -99,6 +99,8 @@ NON_INTEGERS = {
     "dlog-steps-degree-float": lambda: dlog_steps(7, 3.0),
     "polynomial-n-vars-float": lambda: MultivariatePolynomial(1.0, ((1, (1,)),)),
     "matrix-scale-float": lambda: IntegerMatrix.identity(2).scale(1.5),
+    "matrix-rows-float": lambda: IntegerMatrix(2.0, 1, (1, 2)),
+    "matrix-cols-float": lambda: IntegerMatrix(1, 2.0, (1, 2)),
     "norm-class-degree-float": lambda: NormClass(3.0, 1),
     "norm-class-value-float": lambda: NormClass(3, 1.0),
 }
