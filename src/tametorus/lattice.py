@@ -188,18 +188,18 @@ class IntegerMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
         return IntegerMatrix(
-            self.rows, self.cols, tuple(x + y for x, y in zip(self.entries, other.entries))
+            self.rows, self.cols, tuple(map(operator.add, self.entries, other.entries))
         )
 
     def __sub__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
         return IntegerMatrix(
-            self.rows, self.cols, tuple(x - y for x, y in zip(self.entries, other.entries))
+            self.rows, self.cols, tuple(map(operator.sub, self.entries, other.entries))
         )
 
     def __neg__(self) -> "IntegerMatrix":
-        return IntegerMatrix(self.rows, self.cols, tuple(-x for x in self.entries))
+        return IntegerMatrix(self.rows, self.cols, tuple(map(operator.neg, self.entries)))
 
     def scale(self, c: int) -> "IntegerMatrix":
         c = operator.index(c)

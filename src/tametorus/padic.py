@@ -124,15 +124,16 @@ class PadicContext:
         return PadicInt(self, value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PadicInt:
     """A p-adic integer known exactly mod p^N."""
 
     context: PadicContext
     residue: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "residue", operator.index(self.residue) % self.context.modulus)
+    def __init__(self, context: PadicContext, residue: int) -> None:
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "residue", operator.index(residue) % context.modulus)
 
     @property
     def is_exhausted(self) -> bool:
@@ -186,18 +187,20 @@ def unit_part(a: PadicInt) -> tuple[int, PadicInt]:
     return v, PadicInt(a.context, u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class NormClass:
     """A residue class in Z/e, the value group of K*/N(L*)."""
 
     e: int
     value: int
 
-    def __post_init__(self) -> None:
-        if operator.index(self.e) < 1:
+    def __init__(self, e: int, value: int) -> None:
+        if operator.index(e) < 1:
             raise ValueError("e must be positive")
-        if not 0 <= operator.index(self.value) < self.e:
-            raise ValueError(f"value {self.value} out of range for Z/{self.e}")
+        if not 0 <= operator.index(value) < e:
+            raise ValueError(f"value {value} out of range for Z/{e}")
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "value", value)
 
     def __add__(self, other: "NormClass") -> "NormClass":
         if self.e != other.e:
@@ -299,9 +302,9 @@ def norm_class(a: PadicInt, e: int) -> NormClass:
     p = a.context.p
     check_degree(p, e)
     v, u = _split(a.residue, p)
-    if v * (e - 1) % 2:
-        u = -u
-    return eth_power_class(PadicInt(a.context, u), e)
+    if v:
+        a = PadicInt(a.context, -u if v * (e - 1) % 2 else u)
+    return eth_power_class(a, e)
 
 
 def _mult_matrix_rows(p: int, e: int, coeffs: tuple[int, ...]) -> list[list[int]]:

@@ -122,7 +122,8 @@ class MultivariatePolynomial:
         """Exact value of the polynomial at integer coordinates, mod `modulus`."""
         if len(point) != self.n_vars:
             raise ValueError("point length does not match n_vars")
-        return _evaluate_sparse(self._sparse, point, modulus)
+        return _evaluate_sparse(self._sparse, list(map(operator.index, point)),
+                                operator.index(modulus))
 
     def _binop(self, other: "MultivariatePolynomial", mul: bool) -> "MultivariatePolynomial":
         if self.n_vars != other.n_vars:
@@ -162,11 +163,12 @@ class MultivariatePolynomial:
 
 
 def _evaluate_sparse(sparse: _Sparse, point: Sequence[int], modulus: int) -> int:
-    # The one evaluator: value mod `modulus` of a sparse polynomial at a point.
+    # The one evaluator: value mod `modulus` of a sparse polynomial at a
+    # point of ints (callers check coordinates with operator.index).
     total = 0
     for term, pairs in sparse:
         for i, k in pairs:
-            term = term * pow(point[i], k, modulus) % modulus
+            term = term * (point[i] if k == 1 else pow(point[i], k, modulus)) % modulus
         total += term
     return total % modulus
 
@@ -237,36 +239,15 @@ def _point_residues(family: NormTorsorFamily, point: Point) -> tuple[int, ...]:
     return tuple(out)
 
 
-# The per-point helpers below take coordinates the caller has validated
-# or generated itself.
-
-def _generic_class(family: NormTorsorFamily, residues: Sequence[int]) -> NormClass:
-    # Norm class of f(P), from coordinates reduced mod p^N.
-    value = _evaluate_sparse(family._f_generic, residues, family.context.modulus)
-    return norm_class(PadicInt(family.context, value), family.e)
-
-
-def _special_value(family: NormTorsorFamily, point: Sequence[int]) -> int:
-    # fbar(Pbar) in F_p, from any integer lift of Pbar.
-    return _evaluate_sparse(family._f_special, point, family.context.p)
-
-
-def _special_class(family: NormTorsorFamily, value: int, known: dict[int, int]) -> int:
-    # Class of a nonzero value of fbar in k*/(k*)^e, computed once per value
-    # per call: `known` holds at most min(p - 1, points) entries.
-    r = known.get(value)
-    if r is None:
-        r = known[value] = eth_power_class(family.context.integer(value), family.e).value
-    return r
-
-
 def evaluate(family: NormTorsorFamily, point: Point) -> NormClass:
     """Generic-fibre route: the norm class of f(P).
 
     Raises PrecisionExhausted when f(P) is 0 mod p^N, signalling that the
     point leaves the torsor patch.
     """
-    return _generic_class(family, _point_residues(family, point))
+    ctx = family.context
+    value = _evaluate_sparse(family._f_generic, _point_residues(family, point), ctx.modulus)
+    return norm_class(PadicInt(ctx, value), family.e)
 
 
 def reduce_point(family: NormTorsorFamily, point: Point) -> tuple[int, ...]:
@@ -283,7 +264,7 @@ def special_eval(family: NormTorsorFamily, point_bar: Sequence[int]) -> NormClas
     p = family.context.p
     if len(point_bar) != family.n_vars:
         raise ValueError(f"expected {family.n_vars} coordinates")
-    value = _special_value(family, [x % p for x in point_bar])
+    value = _evaluate_sparse(family._f_special, [operator.index(x) % p for x in point_bar], p)
     if value == 0:
         raise SpecialFibreVanishing("f vanishes at this point of the special fibre")
     return eth_power_class(family.context.integer(value), family.e)
@@ -331,9 +312,10 @@ def sample_points(family: NormTorsorFamily, count: int, rng: random.Random) -> l
     Drawn as one contiguous block from `rng` so that a report's primary
     sample can be regenerated independently from its seed.
     """
+    randrange = rng.randrange
     mod = family.context.modulus
-    n = family.n_vars
-    return [tuple(rng.randrange(mod) for _ in range(n)) for _ in range(count)]
+    coordinates = range(family.n_vars)
+    return [tuple([randrange(mod) for _ in coordinates]) for _ in range(count)]
 
 
 def sample_work(family: NormTorsorFamily) -> int:
@@ -364,6 +346,7 @@ def verify_factorization(family: NormTorsorFamily, sample_count: int, seed: int)
     must lie in [1, SAMPLE_COUNT_CAP], and SamplingTooLarge is raised when
     sample_count * sample_work(family) exceeds SAMPLING_WORK_CAP.
     """
+    sample_count, seed = operator.index(sample_count), operator.index(seed)
     if not 1 <= sample_count <= SAMPLE_COUNT_CAP:
         raise ValueError(f"sample_count must be between 1 and {SAMPLE_COUNT_CAP}")
     work = sample_work(family)
@@ -374,27 +357,32 @@ def verify_factorization(family: NormTorsorFamily, sample_count: int, seed: int)
             f"e = {family.e}, n_vars = {family.n_vars}, terms = {len(family.f.terms)})"
         )
     rng = random.Random(seed)
+    randrange = rng.randrange
     primaries = sample_points(family, sample_count, rng)
-    p = family.context.p
-    mod = family.context.modulus
+    f_special, f_generic = family._f_special, family._f_generic
+    ctx, e = family.context, family.e
+    p, mod = ctx.p, ctx.modulus
     step = mod // p
 
     tested = 0
     skipped = 0
     failures: list[FailureRecord] = []
+    # The special-fibre class of each nonzero value of fbar, computed once.
     special_classes: dict[int, int] = {}
     for point in primaries:
-        value = _special_value(family, point)
+        value = _evaluate_sparse(f_special, point, p)
         if value == 0:
             skipped += 1
             continue
         tested += 1
-        special = _special_class(family, value, special_classes)
-        generic = _generic_class(family, point).value
+        special = special_classes.get(value)
+        if special is None:
+            special = special_classes[value] = eth_power_class(PadicInt(ctx, value), e).value
+        generic = norm_class(PadicInt(ctx, _evaluate_sparse(f_generic, point, mod)), e).value
         if generic != special:
             failures.append(FailureRecord(point, generic, special))
-        partner = tuple((x + p * rng.randrange(step)) % mod for x in point)
-        partner_class = _generic_class(family, partner).value
+        partner = tuple([(x + p * randrange(step)) % mod for x in point])
+        partner_class = norm_class(PadicInt(ctx, _evaluate_sparse(f_generic, partner, mod)), e).value
         if partner_class != special:
             failures.append(FailureRecord(partner, partner_class, special))
     return FactorizationReport(tested, skipped, tuple(failures), seed)
@@ -430,10 +418,15 @@ def constancy_check(family: NormTorsorFamily) -> ConstancyReport:
             f"min(p - 1, p^n_vars) * dlog_steps = {values} * {steps} exceeds "
             f"{CONSTANCY_DLOG_WORK_CAP} (p = {p}, e = {family.e}, n_vars = {family.n_vars})"
         )
+    f_special, ctx, e = family._f_special, family.context, family.e
     classes: dict[tuple[int, ...], int] = {}
+    # At most min(p - 1, p^n_vars) entries: one discrete log per value.
     special_classes: dict[int, int] = {}
     for point_bar in itertools.product(range(p), repeat=family.n_vars):
-        value = _special_value(family, point_bar)
+        value = _evaluate_sparse(f_special, point_bar, p)
         if value:
-            classes[point_bar] = _special_class(family, value, special_classes)
+            r = special_classes.get(value)
+            if r is None:
+                r = special_classes[value] = eth_power_class(PadicInt(ctx, value), e).value
+            classes[point_bar] = r
     return ConstancyReport(constant=len(set(special_classes.values())) <= 1, classes=classes)

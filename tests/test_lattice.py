@@ -561,6 +561,24 @@ class TestMatrixPrimitivesAgainstReferences:
                     product(a, b)
                 assert str(info.value) == message
 
+    def test_add_sub_neg_match_elementwise_sums(self):
+        rng = random.Random(43)
+        shapes = [(0, n) for n in range(4)] + [(n, 0) for n in range(1, 4)]
+        shapes += [(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(60)]
+        for rows, cols in shapes:
+            bound = 2 ** 80 if rng.random() < 0.25 else 20
+            a, b = (_sized(rng, rows, cols, -bound, bound) for _ in range(2))
+            pairs = [list(zip(r, s)) for r, s in zip(a.to_rows(), b.to_rows())]
+            assert a + b == IntegerMatrix.from_rows([[x + y for x, y in r] for r in pairs], cols)
+            assert a - b == IntegerMatrix.from_rows([[x - y for x, y in r] for r in pairs], cols)
+            assert -a == IntegerMatrix.from_rows([[-x for x, _ in r] for r in pairs], cols)
+        for a, b in ((mat([[1, 2]]), mat([[1], [2]])), (IntegerMatrix.zero(0, 2),
+                                                       IntegerMatrix.zero(0, 3))):
+            for op in (operator.add, operator.sub):
+                with pytest.raises(ValueError) as info:
+                    op(a, b)
+                assert str(info.value) == "shape mismatch"
+
     def test_apply_rejects_a_vector_of_the_wrong_length(self):
         m = mat([[1, 0, 2], [0, 0, 0]])
         for vec in ([1, 2], range(4), ()):

@@ -13,7 +13,14 @@ import tametorus
 from tametorus.galois import GaloisLatticeModule, endomorphism_order
 from tametorus.lattice import FgAbelianGroup, IntegerMatrix
 from tametorus.padic import NormClass, PadicContext, PadicInt, dlog_steps
-from tametorus.torsor import MultivariatePolynomial, NormTorsorFamily, evaluate, reduce_point
+from tametorus.torsor import (
+    MultivariatePolynomial,
+    NormTorsorFamily,
+    evaluate,
+    reduce_point,
+    special_eval,
+    verify_factorization,
+)
 
 PACKAGE = Path(tametorus.__file__).parent
 
@@ -62,6 +69,12 @@ def _family():
     return NormTorsorFamily(PadicContext(5, 4), 2, f)
 
 
+def _x_plus_2():
+    # f = x + 2 in the variables x, y over p = 7: y does not occur in f.
+    f = MultivariatePolynomial(2, ((1, (1, 0)), (2, (0, 0))))
+    return NormTorsorFamily(PadicContext(7, 4), 3, f)
+
+
 def test_docstring_examples_pass():
     # The examples `pytest --doctest-modules src/tametorus` runs.
     modules = [tametorus] + [importlib.import_module(f"tametorus.{path.stem}")
@@ -86,6 +99,15 @@ NON_INTEGERS = {
     "polynomial-exponent-float": lambda: MultivariatePolynomial(1, ((1, (1.0,)),)),
     "evaluate-point-float": lambda: evaluate(_family(), [2.5]),
     "reduce-point-fraction": lambda: reduce_point(_family(), [Fraction(1, 2)]),
+    "evaluate-mod-absent-variable-float": lambda: _x_plus_2().f.evaluate_mod([2, 1.5], 7),
+    "evaluate-mod-linear-variable-float": lambda: _x_plus_2().f.evaluate_mod([1.5, 2], 7),
+    "evaluate-mod-modulus-float": lambda: _x_plus_2().f.evaluate_mod([2, 1], 7.0),
+    "special-eval-absent-variable-float": lambda: special_eval(_x_plus_2(), [2, 1.5]),
+    "special-eval-linear-variable-float": lambda: special_eval(_x_plus_2(), [1.5, 2]),
+    "special-eval-point-fraction": lambda: special_eval(_x_plus_2(), [Fraction(3), 0]),
+    "verify-seed-float": lambda: verify_factorization(_x_plus_2(), 10, 1.5),
+    "verify-seed-str": lambda: verify_factorization(_x_plus_2(), 10, "abc"),
+    "verify-sample-count-float": lambda: verify_factorization(_x_plus_2(), 10.0, 1),
     "context-integer-float": lambda: PadicContext(5, 4).integer(2.5),
     "context-precision-float": lambda: PadicContext(5, 2.5),
     "context-prime-float": lambda: PadicContext(5.0, 4),

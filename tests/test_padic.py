@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 import sys
 import time
@@ -30,7 +33,7 @@ from tametorus.padic import (
     unit_part,
 )
 
-from helpers import divisors, dlog_by_scan, is_prime_mr
+from helpers import divisors, dlog_by_scan, is_prime_mr, norm_class_by_scan
 
 
 def clear_package_caches():
@@ -283,6 +286,23 @@ class TestNormClass:
         with pytest.raises(PrecisionExhausted):
             norm_class(PadicContext(5, 4).integer(0), 2)
 
+    def test_matches_the_definition_on_units_and_non_units(self):
+        # v = 0 hands a itself to eth_power_class; v > 0 builds the twisted unit.
+        rng = random.Random(79)
+        seen = set()
+        for p in (3, 5, 7, 11, 13):
+            ctx = PadicContext(p, 4)
+            for e in divisors(p - 1):
+                for _ in range(40):
+                    r = rng.randrange(1, ctx.modulus) * p ** rng.choice((0, 0, 1, 2, 3))
+                    expected = norm_class_by_scan(r, p, 4, e)
+                    if expected is None:
+                        continue
+                    a = ctx.integer(r)
+                    assert norm_class(a, e) == NormClass(e, expected), (p, e, r)
+                    seen.add((a.known_valuation > 0, e % 2))
+        assert seen == {(False, 0), (False, 1), (True, 0), (True, 1)}
+
 
 class TestOracle:
     def test_one_is_a_norm(self):
@@ -346,6 +366,56 @@ class TestNormClassValue:
 
     def test_json(self):
         assert NormClass(3, 2).to_json_dict() == {"value": 2, "e": 3}
+
+
+class TestValueSemantics:
+    # PadicInt and NormClass validate in their own __init__; equality,
+    # hashing, repr, replace, copying and immutability stay those of a
+    # frozen dataclass.
+    def check_value(self, value, twin, other, text, names, changes, changed):
+        assert value == twin and hash(value) == hash(twin) and {twin: 1}[value] == 1
+        assert value != other
+        assert repr(value) == text
+        assert [f.name for f in dataclasses.fields(value)] == names
+        assert dataclasses.replace(value, **changes) == changed
+        assert dataclasses.replace(value) == value
+        for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert copied == value and hash(copied) == hash(value) and repr(copied) == text
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, 1)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(value, name)
+        # A frozen slotted dataclass's generated __setattr__ raises TypeError
+        # for a name that is not a field (CPython 3.11-3.13), not
+        # FrozenInstanceError; either way nothing is stored.
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            value.extra = 1
+        assert value == twin and not hasattr(value, "extra")
+
+    def test_padic_int(self):
+        ctx = PadicContext(5, 4)
+        self.check_value(PadicInt(ctx, -3), PadicInt(PadicContext(5, 4), 622),
+                         PadicInt(PadicContext(5, 5), 622), "PadicInt(622 mod 5^4)",
+                         ["context", "residue"], {"residue": 630}, ctx.integer(5))
+        assert PadicInt(residue=7, context=ctx) == ctx.integer(7)
+        with pytest.raises(TypeError):
+            PadicInt(ctx, 2.5)
+        with pytest.raises(TypeError):
+            PadicInt(ctx, "3")
+
+    def test_norm_class(self):
+        self.check_value(NormClass(3, 2), NormClass(e=3, value=2), NormClass(3, 1),
+                         "NormClass(e=3, value=2)", ["e", "value"], {"value": 0}, NormClass(3, 0))
+        assert NormClass(3, 2) != NormClass(4, 2)
+        for e, value in ((0, 0), (-1, 0), (3, 3), (3, -1)):
+            with pytest.raises(ValueError):
+                NormClass(e, value)
+        for e, value in ((3.0, 1), (3, 1.0), ("3", 1)):
+            with pytest.raises(TypeError):
+                NormClass(e, value)
+        with pytest.raises(ValueError):
+            dataclasses.replace(NormClass(3, 2), e=2)
 
 
 def test_field_norm_quadratic_and_cubic_forms():
