@@ -93,9 +93,13 @@ def cocharacter_action(spec: TameTorusSpec) -> GaloisLatticeModule:
     run again.
     """
     mod = spec.characters
+    duals: dict[IntegerMatrix, IntegerMatrix] = {}
 
     def dual(m: IntegerMatrix) -> IntegerMatrix:
-        return unimodular_inverse(m).transpose()
+        # Each distinct matrix is inverted once: a Frobenius may also be a generator.
+        if m not in duals:
+            duals[m] = unimodular_inverse(m).transpose()
+        return duals[m]
 
     return GaloisLatticeModule._unchecked(
         mod.lattice_rank,

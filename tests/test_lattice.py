@@ -35,6 +35,7 @@ from helpers import (
     invariant_factors_by_minors,
     matmul_dense,
     random_matrix,
+    random_signed_permutation,
     random_unimodular,
     vstack_by_rows,
 )
@@ -215,6 +216,25 @@ def test_transforms_are_pinned():
             digest.update(f"{m.rows}x{m.cols}:{','.join(map(hex, m.entries))};".encode())
     assert digest.hexdigest() == (
         "b1f73981bfd7d9703fe75ab3d7a19df6c759ad293585f8c7a1881fad4ea33e14")
+
+
+@pytest.mark.parametrize("n, expected", [
+    (22, "6d2ab4bf44f52d4d781f907f883ea2e3b8a41fbf7aa82a38482dfd805fabf6aa"),
+    (24, "8477f05bd500c0939784cfd008123dccd296fcb36e137f55cf8c1b4cadbf1281"),
+])
+def test_fixed_benchmark_transforms_are_pinned(n, expected):
+    # SHA-256 of U, S and V for two more of the benchmark's fixed matrices,
+    # hashed as in test_transforms_are_pinned.  Their transform entries run
+    # to tens of thousands of bits, so V's column steps are exercised far
+    # beyond the small seeded inputs.
+    rng = random.Random(f"snf-fixed-{n}")
+    a = mat([[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)])
+    r = smith_normal_form(a)
+    assert r.U @ a @ r.V == r.S
+    digest = hashlib.sha256()
+    for m in (r.U, r.S, r.V):
+        digest.update(f"{m.rows}x{m.cols}:{','.join(map(hex, m.entries))};".encode())
+    assert digest.hexdigest() == expected
 
 
 class TestCokernel:
@@ -479,10 +499,52 @@ def test_not_unimodular_messages_name_their_integers():
     assert describe_int(-big * big) == "a negative 27905-bit integer"
     assert describe_int((1, big * big)) == "(1, a 27905-bit integer)"
     for m, factors in ((mat([[6]]), "(6,)"), (mat([[2, 0], [0, 3]]), "(1, 6)"),
-                       (mat([[big, 1], [0, big]]), "(1, a 27905-bit integer)")):
+                       (mat([[big, 1], [0, big]]), "(1, a 27905-bit integer)"),
+                       # Singular; then no pivot in the first column; then only
+                       # the last pivot of the row reduction fails.
+                       (mat([[1, 2], [2, 4]]), "(1, 0)"), (mat([[0, 1], [0, 1]]), "(1, 0)"),
+                       (mat([[0, 0], [0, 0]]), "(0, 0)"), (mat([[4, 6], [6, 8]]), "(2, 2)"),
+                       (mat([[1, 5, 2], [0, 1, 7], [0, 0, 3]]), "(1, 1, 3)")):
         with pytest.raises(NotUnimodular) as info:
             unimodular_inverse(m)
         assert str(info.value) == f"determinant is not a unit: invariant factors {factors}"
+
+
+def _wide_unimodular(rng, n):
+    # A seeded unimodular matrix with entries past 2^80: an elementary step
+    # with a wide multiplier between two small random unimodular factors.
+    rows = IntegerMatrix.identity(n).to_rows()
+    i, j = rng.sample(range(n), 2)
+    rows[i][j] = rng.choice((1, -1)) * rng.randrange(2**80, 2**81)
+    return random_unimodular(rng, n) @ mat(rows) @ random_unimodular(rng, n)
+
+
+def _inverse_inputs():
+    rng = random.Random("unimodular-inverse")
+    out = [IntegerMatrix.identity(0)]
+    out += [random_unimodular(rng, rng.randint(1, 9), steps=rng.randint(1, 20))
+            for _ in range(60)]
+    out += [_wide_unimodular(rng, rng.randint(2, 8)) for _ in range(30)]
+    out += [random_signed_permutation(rng, rng.randint(1, 9)) for _ in range(30)]
+    out += [norm_torus_spec(e).characters.generators[0] for e in list(range(2, 65)) + [256]]
+    return out
+
+
+def test_unimodular_inverse_matches_the_smith_form_route():
+    # An inverse is unique, so the row-only reduction must give the V @ U
+    # of the Smith form exactly.
+    for m in _inverse_inputs():
+        inverse = unimodular_inverse(m)
+        assert (m @ inverse).is_identity()
+        snf = smith_normal_form(m)
+        assert inverse == snf.V @ snf.U
+
+
+@pytest.mark.parametrize("m", [mat([[1, 2, 3]]), IntegerMatrix(0, 2, ()), IntegerMatrix(2, 0, ())])
+def test_unimodular_inverse_rejects_a_non_square_matrix(m):
+    with pytest.raises(NotUnimodular) as info:
+        unimodular_inverse(m)
+    assert str(info.value) == "matrix is not square"
 
 
 def _sized(rng, rows, cols, lo=-5, hi=5):

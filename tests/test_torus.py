@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from tametorus import galois, lattice
+from tametorus import galois, lattice, torus
 from tametorus.errors import TamenessViolation
 from tametorus.galois import GaloisLatticeModule, close_group
 from tametorus.lattice import FgAbelianGroup, IntegerMatrix, unimodular_inverse
@@ -106,6 +106,20 @@ class TestCocharacterAction:
         assert sigma_dual.det() in (1, -1)
         assert (sigma_dual @ sigma_dual @ sigma_dual).is_identity()
 
+    def test_each_distinct_matrix_is_inverted_once(self, monkeypatch):
+        # A Frobenius that is also a generator is inverted once, not twice.
+        sigma = norm_torus_spec(5).characters.generators[0]
+        spec = TameTorusSpec(GaloisLatticeModule(4, (sigma, sigma @ sigma), frobenius=sigma))
+        inverted = []
+
+        def counting(m):
+            inverted.append(m)
+            return unimodular_inverse(m)
+
+        monkeypatch.setattr(torus, "unimodular_inverse", counting)
+        dual = cocharacter_action(spec)
+        assert inverted == [sigma, sigma @ sigma]
+        assert dual.frobenius == unimodular_inverse(sigma).transpose()
 
     def test_dual_group_is_transposed_character_group(self):
         # g -> g^(-T) maps a finite group onto the transposes of its
