@@ -132,10 +132,13 @@ def _cmd_component_group(args) -> dict:
 
 def _cmd_h1(args) -> dict:
     group = _read_json(args.group, lattice.FgAbelianGroup.from_json_dict, "group")
+    k = group.num_generators
     if args.frobenius == "identity":
-        frob = lattice.IntegerMatrix.identity(group.num_generators)
+        frob = lattice.IntegerMatrix.identity(k)
     else:
         frob = _read_json(args.frobenius, lattice.IntegerMatrix.from_json_dict, "matrix")
+        if (frob.rows, frob.cols) != (k, k):
+            raise MalformedInput(f"bad matrix: matrix must be {k}x{k} for this presentation")
     return galois.cyclic_h1(group, frob).to_json_dict()
 
 

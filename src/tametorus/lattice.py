@@ -289,32 +289,31 @@ class SnfResult:
         return tuple(self.S[i, i] for i in range(min(self.S.rows, self.S.cols)))
 
 
-def _row_gcd_op(S, W, t, i):
-    # Unimodular 2x2 row transform making S[t][t] = gcd and S[i][t] = 0.
-    # Every caller has S[t][t] != 0 and S[i][t] != 0, and rows t and i of S
-    # zero left of column t, so S is updated from column t on.
-    a, b = S[t][t], S[i][t]
+def _row_gcd_op(S, log, t, i):
+    # Unimodular 2x2 row step making S[t][t] = gcd and S[i][t] = 0, logged
+    # for U or M^-1.  Every caller has S[t][t] != 0 and S[i][t] != 0, and
+    # rows t and i of S zero left of column t, so S is updated from column t on.
+    St, Si = S[t], S[i]
+    a, b = St[t], Si[t]
     if b % a == 0:
         q = b // a
-        for M, lo in ((S, t), (W, 0)):
-            Mt, Mi = M[t], M[i]
-            for j in range(lo, len(Mi)):
-                Mi[j] -= q * Mt[j]
+        for j in range(t, len(Si)):
+            Si[j] -= q * St[j]
+        log.append((i, [(t, q)]))
         return
     g, x, y = _xgcd(a, b)
     ag, bg = a // g, b // g
-    for M, lo in ((S, t), (W, 0)):
-        Mt, Mi = M[t], M[i]
-        for j in range(lo, len(Mt)):
-            u, v = Mt[j], Mi[j]
-            Mt[j] = x * u + y * v
-            Mi[j] = -bg * u + ag * v
+    for j in range(t, len(St)):
+        u, v = St[j], Si[j]
+        St[j] = x * u + y * v
+        Si[j] = -bg * u + ag * v
+    log.append((t, i, x, y, -bg, ag))
 
 
 def _col_gcd_op(S, log, t, j):
     # Column analogue of _row_gcd_op for an S[t][j] that S[t][t] does not
-    # divide.  It acts on S and logs the step for _replay_columns.  Rows of
-    # S above t are zero in columns t and j, and a row zero in both stays zero.
+    # divide, logged transposed for V.  Rows of S above t are zero in
+    # columns t and j, and a row zero in both stays zero.
     a, b = S[t][t], S[t][j]
     g, x, y = _xgcd(a, b)
     ag, bg = a // g, b // g
@@ -323,7 +322,7 @@ def _col_gcd_op(S, log, t, j):
         if u or v:
             row[t] = x * u + y * v
             row[j] = -bg * u + ag * v
-    log.append((t, j, x, y, bg, ag))
+    log.append((t, j, x, -bg, y, ag))
 
 
 def _col_div_ops(S, log, t, js):
@@ -331,7 +330,7 @@ def _col_div_ops(S, log, t, js):
     # S[t][j] a nonzero multiple of S[t][t].  Each step reads column t and
     # writes only its own column, so one pass over the rows with a nonzero
     # in column t applies them all; rows of S above t are zero there.  The
-    # batch is logged for _replay_columns.
+    # batch is logged transposed, as row t -= q * row j.
     a = S[t][t]
     qs = [(j, S[t][j] // a) for j in js]
     for row in S[t:]:
@@ -342,34 +341,37 @@ def _col_div_ops(S, log, t, js):
     log.append((t, qs))
 
 
-def _replay_columns(log, n):
-    # V = E_0 E_1 ... E_k for the logged column steps E_s, multiplied out
-    # right to left as E_0 (E_1 (... E_k)), so each step is a row step on a
-    # matrix that starts as I.  A late step then meets rows of a short
-    # suffix product, whose entries are small, where the forward order
-    # would meet V's widest columns.  Exact products are associative, so
-    # the entries are the same.
-    V = IntegerMatrix.identity(n).to_rows()
-    for step in reversed(log):
-        if len(step) == 2:  # column j -= q * column t: row t -= q * row j
+def _replay(steps, n):
+    # I_n multiplied out by logged row steps, in order, skipping entries
+    # known to be zero.  Each elimination step acts on S alone and logs
+    # itself as one of these row steps on the transform:
+    #   (t,)                negates row t;
+    #   (t, [(j, q), ...])  row t -= sum of q * row j;
+    #   (t, j, None)        swaps rows t and j;
+    #   (t, j, a, b, c, d)  sets (row t, row j) to (a row t + b row j, c row t + d row j).
+    M = IntegerMatrix.identity(n).to_rows()
+    for step in steps:
+        if len(step) == 1:
+            M[step[0]] = [-x for x in M[step[0]]]
+        elif len(step) == 2:
             t, qs = step
-            Vt = V[t]
+            Mt = M[t]
             for j, q in qs:
-                for c, v in enumerate(V[j]):
+                for c, v in enumerate(M[j]):
                     if v:
-                        Vt[c] -= q * v
-        elif step[2] is None:  # columns t and j swapped
+                        Mt[c] -= q * v
+        elif step[2] is None:
             t, j, _ = step
-            V[t], V[j] = V[j], V[t]
+            M[t], M[j] = M[j], M[t]
         else:
-            t, j, x, y, bg, ag = step
-            Vt, Vj = V[t], V[j]
-            for c in range(n):
-                u, v = Vt[c], Vj[c]
+            t, j, a, b, c, d = step
+            Mt, Mj = M[t], M[j]
+            for k in range(n):
+                u, v = Mt[k], Mj[k]
                 if u or v:
-                    Vt[c] = x * u - bg * v
-                    Vj[c] = y * u + ag * v
-    return V
+                    Mt[k] = a * u + b * v
+                    Mj[k] = c * u + d * v
+    return IntegerMatrix.from_rows(M, cols=n)
 
 
 def smith_normal_form(A: IntegerMatrix) -> SnfResult:
@@ -384,23 +386,20 @@ def smith_normal_form(A: IntegerMatrix) -> SnfResult:
     steps the pivot divides run as one pass over the rows with a nonzero
     in the pivot column.  U, S and V are the same as without the skips.
 
-    Row steps are applied to U as they happen.  Column steps are logged
-    and V is multiplied out from the log at the end, right to left, as
-    row steps on I.  That gives the same integers, but a late step meets
-    the rows of a short suffix product instead of V's widest columns: on
-    a dense 26x26 matrix of entries in [-20, 20], whose U and V entries
-    reach 131858 bits, the Smith form takes 0.11-0.16 s instead of
-    0.19-0.30 s.
+    The elimination acts on S alone and logs its steps.  U is the row log
+    multiplied out on I in order; V is the column log multiplied out right
+    to left, as row steps on I.  That gives the same integers, but a late
+    column step meets rows of a short suffix product, not V's widest
+    columns: a dense 26x26 matrix with entries in [-20, 20] (U and V
+    entries up to 131858 bits) takes 0.11-0.16 s instead of 0.19-0.30 s.
 
     >>> smith_normal_form(IntegerMatrix.from_rows([[2, 4], [6, 8]])).diagonal()
     (2, 4)
     """
     m, n = A.rows, A.cols
     S = A.to_rows()
-    U = IntegerMatrix.identity(m).to_rows()
-    # Column steps in order: (t, [(j, q), ...]) for column j -= q * column t,
-    # (t, j, x, y, b/g, a/g) for a gcd step, (t, j, None) for a swap.
-    log: list[tuple] = []
+    rows: list[tuple] = []  # the row steps, for U
+    cols: list[tuple] = []  # the column steps, for V
 
     t = 0
     while t < min(m, n):
@@ -423,15 +422,15 @@ def smith_normal_form(A: IntegerMatrix) -> SnfResult:
         i0, j0 = pivot
         if i0 != t:
             S[t], S[i0] = S[i0], S[t]
-            U[t], U[i0] = U[i0], U[t]
+            rows.append((t, i0, None))
         if j0 != t:
             for row in S[t:]:
                 row[t], row[j0] = row[j0], row[t]
-            log.append((t, j0, None))
+            cols.append((t, j0, None))
         while True:
             for i in range(t + 1, m):
                 if S[i][t]:
-                    _row_gcd_op(S, U, t, i)
+                    _row_gcd_op(S, rows, t, i)
             # The entries of row t the pivot divides are cleared in batches,
             # each ending where a gcd step must change column t.
             St, batch = S[t], []
@@ -441,18 +440,18 @@ def smith_normal_form(A: IntegerMatrix) -> SnfResult:
                         batch.append(j)
                         continue
                     if batch:
-                        _col_div_ops(S, log, t, batch)
+                        _col_div_ops(S, cols, t, batch)
                         batch = []
-                    _col_gcd_op(S, log, t, j)
+                    _col_gcd_op(S, cols, t, j)
             if batch:
-                _col_div_ops(S, log, t, batch)
+                _col_div_ops(S, cols, t, batch)
             # Row t is clear: each column step zeroes its S[t][j] for good.
             if all(S[i][t] == 0 for i in range(t + 1, m)):
                 break
-        # Pivot t is final: no later step touches row t of S or U.
+        # Pivot t is final: no later step touches row t of S.
         if S[t][t] < 0:
             S[t][t] = -S[t][t]
-            U[t] = [-x for x in U[t]]
+            rows.append((t,))
         t += 1
 
     r = t  # number of nonzero diagonal entries
@@ -467,15 +466,15 @@ def smith_normal_form(A: IntegerMatrix) -> SnfResult:
                 # Column i += column i + 1, logged as column i -= -1 * column i + 1.
                 for row in S[i:]:
                     row[i] += row[i + 1]
-                log.append((i + 1, [(i, -1)]))
-                _row_gcd_op(S, U, i, i + 1)
+                cols.append((i + 1, [(i, -1)]))
+                _row_gcd_op(S, rows, i, i + 1)
                 # S[i][i] = g = gcd(a,b), S[i+1][i+1] = ab/g > 0; clear y*b != 0 at (i, i+1).
-                _col_div_ops(S, log, i, [i + 1])
+                _col_div_ops(S, cols, i, [i + 1])
 
     return SnfResult(
-        U=IntegerMatrix.from_rows(U, cols=m),
+        U=_replay(rows, m),
         S=IntegerMatrix.from_rows(S, cols=n),
-        V=IntegerMatrix.from_rows(_replay_columns(log, n), cols=n),
+        V=_replay(reversed(cols), n),
     )
 
 
@@ -485,40 +484,37 @@ def unimodular_inverse(M: IntegerMatrix) -> IntegerMatrix:
     [M | I] is reduced to [I | M^-1] by unimodular row steps alone: gcd
     steps down each column from its least nonzero entry leave M upper
     triangular, and back-substitution above each +/-1 pivot clears it.
-    An inverse is unique, so this is the V @ U of the Smith form, which
-    is computed only to name the invariant factors in the error.
+    The steps act on M and are logged, back-substitution read lazily off
+    the triangle, and the log is multiplied out on I.  An inverse is
+    unique, so this is the V @ U of the Smith form, which is computed
+    only to name the invariant factors in the error.
     """
     n = M.rows
     if n != M.cols:
         raise NotUnimodular("matrix is not square")
     S = M.to_rows()
-    W = IntegerMatrix.identity(n).to_rows()
+    log: list[tuple] = []
     for t in range(n):
         column = [i for i in range(t, n) if S[i][t]]
         if column:
             i0 = min(column, key=lambda i: abs(S[i][t]))
             S[t], S[i0] = S[i0], S[t]
-            W[t], W[i0] = W[i0], W[t]
+            log.append((t, i0, None))
             for i in range(t + 1, n):
                 if S[i][t]:
-                    _row_gcd_op(S, W, t, i)
+                    _row_gcd_op(S, log, t, i)
         if not column or abs(S[t][t]) != 1:
             factors = describe_int(smith_normal_form(M).diagonal())
             raise NotUnimodular(f"determinant is not a unit: invariant factors {factors}")
         if S[t][t] < 0:
             S[t] = [-x for x in S[t]]
-            W[t] = [-x for x in W[t]]
-    # S is upper unitriangular.  Clearing column t above the pivot changes no
-    # other entry of S, so S is read as the forward pass left it.
-    for t in reversed(range(n)):
-        Wt = [(c, x) for c, x in enumerate(W[t]) if x]
-        for i in range(t):
-            q = S[i][t]
-            if q:
-                Wi = W[i]
-                for c, x in Wt:
-                    Wi[c] -= q * x
-    return IntegerMatrix.from_rows(W, cols=n)
+            log.append((t,))
+    # S is upper unitriangular.  Bottom up, row i -= S[i][t] * row t for each
+    # t > i: the rows below i are final by then, e_t in S, and row i of S is
+    # as the forward pass left it.
+    back = ((i, [(t, q) for t, q in enumerate(S[i][i + 1:], i + 1) if q])
+            for i in reversed(range(n)))
+    return _replay(itertools.chain(log, back), n)
 
 
 @dataclass(frozen=True)

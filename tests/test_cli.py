@@ -325,6 +325,7 @@ SHAPE_ERRORS = {
                                         inertia=[0], wild_inertia=[1]),
     },
     "torus": {"norm-degree-zero": json.dumps({"torus": "norm", "e": 0})},
+    "frobenius": {"frobenius-shape": json.dumps(_diag(1, 1))},
     "family": {
         "non-prime-p": _family(p=9),
         "precision-one": _family(precision=1),
@@ -342,6 +343,8 @@ READERS = {
     "module": [("coinvariants", "--module", DOC), ("tame-quotient", "--module", DOC),
                ("component-group", "--module", DOC)],
     "torus": [("component-group", "--module", DOC)],
+    "frobenius": [("h1", "--group", '{"free_rank":0,"invariant_factors":[2]}',
+                   "--frobenius", DOC)],
     "family": [("eval-torsor", "--family", DOC, "--point", "1"),
                ("verify-diagram", "--family", DOC, "--samples", "10"),
                ("constancy", "--family", DOC)],
@@ -361,6 +364,23 @@ def test_rejected_document_is_malformed(capsys, argv):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "malformed-input"
+
+
+def test_frobenius_of_the_right_shape_off_the_relations_is_a_domain_error(capsys):
+    code, out, err = run_cli(capsys, "h1", "--group", '{"free_rank":1,"invariant_factors":[2]}',
+                             "--frobenius", json.dumps({"rows": 2, "cols": 2,
+                                                        "entries": [[1, 0], [1, 1]]}))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "invalid-value",
+                               "detail": "matrix does not preserve the torsion relations"}
+
+
+def test_a_file_whose_top_level_is_not_an_object_is_malformed(capsys, tmp_path):
+    path = tmp_path / "matrix.json"
+    path.write_text("[1, 2]")
+    code, out, err = run_cli(capsys, "snf", "--matrix", str(path))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "malformed-input", "detail": "expected a JSON object"}
 
 
 PADIC_FLAGS = ("--p", "5", "--e", "2", "--a", "2")

@@ -328,6 +328,30 @@ class TestCyclicClosureAgainstProducts:
             details.append(str(info.value))
         assert details[0] == details[1] == "closure of rank 2 exceeded 10000 elements"
 
+    def test_a_finite_group_past_the_cap(self):
+        # <8-cycle, transposition> is S_8, of order 40320: the breadth-first
+        # walk stops at the cap.
+        gens = [_permutation([8]), _permutation([2, 1, 1, 1, 1, 1, 1])]
+        details = []
+        for closure in (closure_by_products, close_group):
+            with pytest.raises(ClosureCapExceeded) as info:
+                closure(gens)
+            details.append(str(info.value))
+        assert details[0] == details[1] == "closure of rank 8 exceeded 10000 elements"
+
+    def test_the_budget_can_run_out_inside_a_power_check(self, monkeypatch):
+        # The orbit walk of the 5-cycle fits in 60 work units, but the check
+        # that its fifth power is I does not.
+        monkeypatch.setattr(galois, "ORDER_WORK_CAP", 60)
+        cycle = _permutation([5])
+        with pytest.raises(ClosureCapExceeded) as info:
+            close_group([cycle])
+        assert str(info.value) == "closure of rank 5 exceeded 4 elements"
+        with pytest.raises(InfiniteOrder) as info:
+            endomorphism_order(FgAbelianGroup.free(5), cycle)
+        assert str(info.value) == ("no power up to 4 of the rank-5 matrix acts as the "
+                                   "identity within 60 work units")
+
 
 class TestOneOrder:
     """close_group and endomorphism_order read g's order off the same rounds."""

@@ -8,6 +8,7 @@ import pytest
 
 import tametorus.torsor
 from tametorus.errors import (
+    ContextMismatch,
     DegreeIncompatible,
     EnumerationTooLarge,
     PrecisionExhausted,
@@ -301,6 +302,16 @@ class TestPublicRoutesValidate:
         fam = family(5, 2, x_squared_plus_one())
         assert evaluate(fam, [1 + 625 * 7]) == evaluate(fam, [1]) == evaluate(fam, [-624])
         assert special_eval(fam, [-4]) == special_eval(fam, [1])
+
+    def test_padic_coordinates(self):
+        fam = family(7, 3, P(2, ((1, (1, 1)), (1, (0, 0)))))
+        ctx = fam.context
+        assert evaluate(fam, [ctx.integer(3), 5]) == evaluate(fam, [3, 5])
+        assert reduce_point(fam, [ctx.integer(10), 5]) == reduce_point(fam, [10, 5]) == (3, 5)
+        with pytest.raises(ContextMismatch):
+            evaluate(fam, [PadicContext(7, 5).integer(3), 5])
+        with pytest.raises(ContextMismatch):
+            reduce_point(fam, [PadicContext(7, 5).integer(3), 5])
 
 
 PRIMES_TO_101 = [q for q in range(3, 102) if all(q % d for d in range(2, q))]
