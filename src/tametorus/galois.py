@@ -124,8 +124,10 @@ class MatrixGroup:
 
 def _words(entries: Sequence[int]) -> int:
     """Machine words per entry: 1 + b // 64, b the bit length of the
-    largest |entry|."""
-    return 1 + max(map(abs, entries), default=0).bit_length() // 64
+    largest |entry|, read off the largest and the least entry (a bit
+    length ignores the sign) with no |entry| built."""
+    return 1 + max(max(entries, default=0).bit_length(),
+                   min(entries, default=0).bit_length()) // 64
 
 
 def _power(m: IntegerMatrix, exponent: int, mul) -> IntegerMatrix:
@@ -160,15 +162,18 @@ def _order_levels(h: IntegerMatrix, limit: int, stop, group: Optional[FgAbelianG
     first = tuple(range(1, k + 1)) if group is None else group.reduce(range(1, k + 1))
     starts = itertools.chain([first], map(ident.col, range(k)))
     levels, order, work = [], 1, 0
+    # h and each product come with their words and zero count, read once.
+    words, zeros = _words(h.entries), h.entries.count(0)
     while h.entries != ident.entries:  # I is reduced, as every d_i >= 2
-        nonzero, words = len(h.entries) - h.entries.count(0), _words(h.entries)
+        nonzero = len(h.entries) - zeros
         for start in starts:  # h moves one of them, as h != I
             orbit, point = {}, start
             while point not in orbit:
                 if len(orbit) >= limit // order:
                     return None
                 orbit[point] = j = len(orbit)  # no h^i with 0 < i <= j fixes the start
-                w = 1 + max(map(abs, point)).bit_length() // 64  # _words(point), inlined
+                # _words(point), inlined
+                w = 1 + max(max(point).bit_length(), min(point).bit_length()) // 64
                 work += k + nonzero * (w if w > words else words)
                 if work > ORDER_WORK_CAP:
                     stop(order * (j or 1))
@@ -183,13 +188,14 @@ def _order_levels(h: IntegerMatrix, limit: int, stop, group: Optional[FgAbelianG
         period = len(orbit)
 
         def mul(a, b):  # each entry of a, and k multiply-adds for each nonzero one
-            nonlocal work
-            w = _words(a.entries) if a is b else max(_words(a.entries), _words(b.entries))
-            work += k * (k + (k * k - a.entries.count(0)) * w)
+            nonlocal work  # a and b are (matrix, words, zero count), as is the product
+            (a, a_words, a_zeros), (b, b_words, _) = a, b
+            work += k * (k + (k * k - a_zeros) * max(a_words, b_words))
             if work > ORDER_WORK_CAP:
                 stop(order * period - 1)
-            return a @ b if group is None else _reduce_endo(group, a @ b)
-        h = _power(h, period, mul)
+            p = a @ b if group is None else _reduce_endo(group, a @ b)
+            return p, _words(p.entries), p.entries.count(0)
+        h, words, zeros = _power((h, words, zeros), period, mul)
         order *= period
     return levels
 

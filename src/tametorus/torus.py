@@ -73,13 +73,13 @@ def norm_torus_spec(e: int) -> TameTorusSpec:
     rank = e - 1
     if rank == 0:
         return TameTorusSpec(GaloisLatticeModule(0, ()))
-    # Column i < rank-1 sends basis vector i to vector i+1; the last basis
-    # vector maps to minus the sum of all of them (the relation N = 0).
-    sigma = IntegerMatrix.from_rows(
-        [[(1 if r == i + 1 else 0) - (1 if i == rank - 1 else 0) for i in range(rank)]
-         for r in range(rank)],
-        cols=rank,
-    )
+    # Column i < rank-1 sends basis vector i to vector i+1 (the entries
+    # below the diagonal); the last basis vector maps to minus the sum of
+    # all of them (the relation N = 0).
+    flat = [0] * (rank * rank)
+    flat[rank::rank + 1] = [1] * (rank - 1)
+    flat[rank - 1::rank] = [-1] * rank
+    sigma = IntegerMatrix(rank, rank, tuple(flat))
     return TameTorusSpec(GaloisLatticeModule(rank, (sigma,), inertia=(0,)))
 
 

@@ -495,12 +495,55 @@ def test_order_loop_is_charged_for_its_work(capsys):
 RECORDED_CASES = json.loads(
     (Path(__file__).resolve().parents[1] / "bench" / "cli_cases.json").read_text())
 
+# The error kind on stderr of each recorded case that fails, keyed by its
+# argv; cli_cases.json records no stderr, so a reworded or reclassified
+# error would otherwise pass at the same exit code.
+RECORDED_ERROR_KINDS = {
+    ("snf", "--matrix", '{"rows":2,"cols":2,"entries":[[1,2],[3'): "malformed-input",
+    ("snf", "--matrix", '{"rows":2}'): "malformed-input",
+    ("h1", "--group", '{"free_rank":0}', "--frobenius", "identity"): "malformed-input",
+    ("eval-torsor", "--family",
+     '{"p":5,"precision":4,"e":2,"n_vars":2,"f":[{"c":1,"exp":[2,0]},{"c":1,"exp":[0,0]}]}',
+     "--point", "1,2,3"): "malformed-input",
+    ("eval-torsor", "--family",
+     '{"p":5,"precision":4,"e":2,"n_vars":2,"f":[{"c":1,"exp":[2,0]},{"c":1,"exp":[0,0]}]}',
+     "--point", "1,x"): "malformed-input",
+    ("component-group", "--torus", "norm"): "malformed-input",
+    ("component-group",): "malformed-input",
+    ("norm-class", "--p", "5", "--e", "2"): "malformed-input",
+    ("norm-class", "--p", "5", "--e", "two", "--a", "2"): "malformed-input",
+    ("frobenius-twist",): "malformed-input",
+    ("tame-quotient", "--module", '{"lattice_rank":2'): "malformed-input",
+    ("norm-class", "--p", "7", "--e", "4", "--a", "3", "--precision", "4"): "degree-incompatible",
+    ("norm-class", "--p", "9", "--e", "2", "--a", "3", "--precision", "4"): "invalid-value",
+    ("norm-class", "--p", "11", "--e", "5", "--a", "0", "--precision", "4"): "precision-exhausted",
+    ("oracle-norm-class", "--p", "13", "--e", "4", "--a", "2", "--precision", "4",
+     "--search-precision", "3"): "search-space-too-large",
+    ("constancy", "--family",
+     '{"p":101,"precision":4,"e":2,"n_vars":3,"f":[{"c":1,"exp":[0,0,0]}]}'):
+        "enumeration-too-large",
+    ("eval-torsor", "--family",
+     '{"p":7,"precision":4,"e":3,"n_vars":1,"f":[{"c":1,"exp":[1]}]}',
+     "--point", "0"): "precision-exhausted",
+    ("verify-diagram", "--family",
+     '{"p":7,"precision":4,"e":4,"n_vars":1,"f":[{"c":1,"exp":[1]}]}',
+     "--samples", "10"): "degree-incompatible",
+    ("component-group", "--module",
+     '{"lattice_rank":1,"generators":[{"rows":1,"cols":1,"entries":[[-1]]}],"inertia":[0],'
+     '"wild_inertia":[0]}'): "tameness-violation",
+    ("tame-quotient", "--module",
+     '{"lattice_rank":1,"generators":[{"rows":1,"cols":1,"entries":[[2]]}]}'): "not-unimodular",
+}
+
 
 @pytest.mark.parametrize("case", RECORDED_CASES,
                          ids=[f"{i}-{case['group']}" for i, case in enumerate(RECORDED_CASES)])
 def test_recorded_case_keeps_exit_code_and_stdout(capsys, case):
-    code, out, _ = run_cli(capsys, *case["argv"])
+    code, out, err = run_cli(capsys, *case["argv"])
     assert (code, out) == (case["exit"], case["stdout"])
+    # A success writes nothing to stderr; a failure writes its error kind.
+    kind = RECORDED_ERROR_KINDS.get(tuple(case["argv"]))
+    assert (json.loads(err)["error"] if code else err) == (kind or "")
 
 
 SNF_2X2 = ("snf", "--matrix", '{"rows":2,"cols":2,"entries":[[2,4],[6,8]]}')

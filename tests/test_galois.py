@@ -25,6 +25,7 @@ from tametorus.lattice import (
     unimodular_inverse,
     vstack,
 )
+from tametorus.torus import norm_torus_spec
 
 from helpers import (
     closure_by_products,
@@ -95,6 +96,16 @@ def _orbit_length(g: IntegerMatrix) -> int:
         point, length = g.apply(point), length + 1
         if point == start:
             return length
+
+
+def _two_level_matrix() -> IntegerMatrix:
+    # [[-1, 1], [0, 1]] fixes (1, 2) and has order 2.  The 2x2 block below
+    # it is [[-1, -1], [1, 0]], of order 3, conjugated by [[1, B], [0, 1]]:
+    # entries of two words.  The orbit of (1, 2, 3, 4) has 3 points, and the
+    # cube, of one-word entries and fewer nonzeros, moves e_0, so the order
+    # 6 is read off two levels.
+    b = 2 ** 40
+    return mat([[-1, 1, 0, 0], [0, 1, 0, 0], [0, 0, b - 1, -b * b + b - 1], [0, 0, 1, -b]])
 
 
 def _count_products(monkeypatch) -> list:
@@ -351,6 +362,31 @@ class TestCyclicClosureAgainstProducts:
             endomorphism_order(FgAbelianGroup.free(5), cycle)
         assert str(info.value) == ("no power up to 4 of the rank-5 matrix acts as the "
                                    "identity within 60 work units")
+
+    @pytest.mark.parametrize("make, total, order, proved", [
+        (lambda: norm_torus_spec(35).characters.generators[0], 27573, 35, 34),
+        (_two_level_matrix, 252, 6, 5),
+    ], ids=["sigma-35", "two-levels"])
+    def test_the_budget_charges_exact_work_units(self, monkeypatch, make, total, order, proved):
+        # `total` is every unit one order decision charges: the orbit walks,
+        # each step at the words and nonzeros of the level's generator, and
+        # the power checks' products, each at the words and zero count of
+        # its factors.  With exactly that budget the call succeeds; with one
+        # unit less the last product is refused.  sigma at e = 35 takes one
+        # level, the second matrix two.
+        m = make()
+        rank = m.rows
+        monkeypatch.setattr(galois, "ORDER_WORK_CAP", total)
+        assert close_group([m]).order == order
+        assert endomorphism_order(FgAbelianGroup.free(rank), m) == order
+        monkeypatch.setattr(galois, "ORDER_WORK_CAP", total - 1)
+        with pytest.raises(ClosureCapExceeded) as info:
+            close_group([m])
+        assert str(info.value) == f"closure of rank {rank} exceeded {proved} elements"
+        with pytest.raises(InfiniteOrder) as info:
+            endomorphism_order(FgAbelianGroup.free(rank), m)
+        assert str(info.value) == (f"no power up to {proved} of the rank-{rank} matrix acts as "
+                                   f"the identity within {total - 1} work units")
 
 
 class TestOneOrder:

@@ -202,6 +202,14 @@ def _pinned_snf_inputs():
     return out
 
 
+def _digest(matrices):
+    # SHA-256 over the shapes and hex entries of the matrices, in order.
+    digest = hashlib.sha256()
+    for m in matrices:
+        digest.update(f"{m.rows}x{m.cols}:{','.join(map(hex, m.entries))};".encode())
+    return digest.hexdigest()
+
+
 def test_transforms_are_pinned():
     # SHA-256 of U, S and V over a fixed set of matrices: seeded random ones
     # up to 13x13 (sparse and dense, small and large entries, rank-deficient,
@@ -209,12 +217,8 @@ def test_transforms_are_pinned():
     # the lattice_tower benchmark, and the norm-torus matrices sigma,
     # sigma - I and sigma^-T - I for e = 2..40 and 64.  A change to the
     # Smith form that alters any transform entry changes the digest.
-    digest = hashlib.sha256()
-    for a in _pinned_snf_inputs():
-        r = smith_normal_form(a)
-        for m in (r.U, r.S, r.V):
-            digest.update(f"{m.rows}x{m.cols}:{','.join(map(hex, m.entries))};".encode())
-    assert digest.hexdigest() == (
+    results = map(smith_normal_form, _pinned_snf_inputs())
+    assert _digest(m for r in results for m in (r.U, r.S, r.V)) == (
         "b1f73981bfd7d9703fe75ab3d7a19df6c759ad293585f8c7a1881fad4ea33e14")
 
 
@@ -231,10 +235,71 @@ def test_fixed_benchmark_transforms_are_pinned(n, expected):
     a = mat([[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)])
     r = smith_normal_form(a)
     assert r.U @ a @ r.V == r.S
-    digest = hashlib.sha256()
-    for m in (r.U, r.S, r.V):
-        digest.update(f"{m.rows}x{m.cols}:{','.join(map(hex, m.entries))};".encode())
-    assert digest.hexdigest() == expected
+    assert _digest((r.U, r.S, r.V)) == expected
+
+
+@pytest.mark.parametrize("e, expected", [
+    (37, "a2713924bd2063e4f108ad0a645788bad4e896c53ce70182f32bf8674b5027a7"),
+    (128, "f9f35af88328d8b7a72c3af8818e6e2288c2ff5aaa41640ccb64c78eaab36647"),
+    (256, "2b8fe8a12fe155035bbacf5ddf2fd3dbd55a3cddf4397b661abc7075a5f75350"),
+])
+def test_norm_torus_relation_transforms_are_pinned(e, expected):
+    # SHA-256 of U, S and V for component_group's relation matrix
+    # sigma* - I of the norm torus, sigma* = sigma^-T, hashed as in
+    # test_transforms_are_pinned.  Its transforms are almost all zeros, so
+    # the replay's sparse rows meet long runs of absent entries and
+    # entries that cancel to 0.
+    sigma = norm_torus_spec(e).characters.generators[0]
+    relations = unimodular_inverse(sigma).transpose() - IntegerMatrix.identity(e - 1)
+    r = smith_normal_form(relations)
+    assert r.U @ relations @ r.V == r.S
+    assert _digest((r.U, r.S, r.V)) == expected
+
+
+def test_norm_torus_inverse_is_pinned():
+    sigma = norm_torus_spec(256).characters.generators[0]
+    inverse = unimodular_inverse(sigma)
+    assert inverse @ sigma == IntegerMatrix.identity(255)
+    assert _digest((inverse,)) == (
+        "9a907117ead84aa5627221708008aace2f0a15d2077fd3f40d8e3f69b4c9586a")
+
+
+def test_replay_matches_the_dense_product_of_its_steps():
+    # A hand-built log on I_4, checked against the product of its
+    # elementary matrices over every entry.  Step 2's second term cancels
+    # entry (2, 0) to exactly 0 after its first term made it nonzero; the
+    # 2x2 step on rows 1 and 2 zeroes entry (1, 1), nonzero in both rows;
+    # later steps read the rows those zeros were dropped from.
+    steps = [
+        (1, [(0, -3)]),               # row 1 = (3, 1, 0, 0)
+        (2, [(1, 1), (0, -3)]),       # row 2 = (-3, -1, 1, 0), then (0, -1, 1, 0)
+        (1, 2, 1, 1, 1, 2),           # rows 1, 2 = (3, 0, 1, 0), (3, -1, 2, 0)
+        (3, 1, None),                 # swap rows 3 and 1
+        (3,),                         # row 3 = (-3, 0, -1, 0)
+        (2, [(3, 1)]),                # row 2 = (6, -1, 3, 0)
+        (0, 3, 1, 0, 5, 1),           # row 3 += 5 row 0, row 0 unchanged
+        (0, 2, 2, 1, 1, 1),           # rows 0, 2 = 2 row 0 + row 2, row 0 + row 2
+        (1, [(2, 1)]),                # row 1 = (-7, 1, -3, 1)
+    ]
+    n = 4
+    expected = IntegerMatrix.identity(n)
+    for step in steps:
+        e = [[int(i == j) for j in range(n)] for i in range(n)]
+        if len(step) == 1:
+            e[step[0]][step[0]] = -1
+        elif len(step) == 2:
+            for j, q in step[1]:
+                e[step[0]][j] -= q
+        elif step[2] is None:
+            t, j, _ = step
+            e[t][t] = e[j][j] = 0
+            e[t][j] = e[j][t] = 1
+        else:
+            t, j, a, b, c, d = step
+            e[t][t], e[t][j], e[j][t], e[j][j] = a, b, c, d
+        expected = matmul_dense(mat(e), expected)
+    assert expected == mat([[8, -1, 3, 0], [-7, 1, -3, 1], [7, -1, 3, 0], [2, 0, -1, 0]])
+    assert lattice._replay(steps, n) == expected
 
 
 class TestCokernel:
