@@ -392,36 +392,19 @@ def _replay(steps, n):
     return IntegerMatrix(n, n, tuple(flat))
 
 
-def smith_normal_form(A: IntegerMatrix) -> SnfResult:
-    """Smith normal form with transforms: U @ A @ V = S.
-
-    U and V are unimodular; S is diagonal with nonnegative entries
-    satisfying d_i | d_{i+1}, zeros last.  Pivots are chosen with minimal
-    absolute value to limit coefficient growth, and each pivot's sign is
-    settled as soon as the pivot is final.  Steps skip entries known to be
-    zero: row steps start at the pivot column, column steps skip the rows
-    of S above the pivot and rows zero in both columns, and the column
-    steps the pivot divides run as one pass over the rows with a nonzero
-    in the pivot column.  U, S and V are the same as without the skips.
-
-    The elimination acts on S alone and logs its steps.  U is the row log
-    multiplied out on I in order; V is the column log multiplied out right
-    to left, as row steps on I.  That gives the same integers, but a late
-    column step meets rows of a short suffix product, not V's widest
-    columns: a dense 26x26 matrix with entries in [-20, 20] (U and V
-    entries up to 131858 bits) takes 0.11-0.16 s instead of 0.19-0.30 s.
-    The replay holds each row as its nonzero entries only, so a step costs
-    the nonzeros it reads, not the row's width: the transforms of the norm
-    torus's relation matrix sigma* - I (255x255 at e = 256) are almost all
-    zeros.
-
-    >>> smith_normal_form(IntegerMatrix.from_rows([[2, 4], [6, 8]])).diagonal()
-    (2, 4)
-    """
+def _eliminate(A: IntegerMatrix):
+    # The Smith form's elimination: S as a list of rows, with the row steps
+    # (for U) and the column steps (for V, logged transposed) that take A
+    # to it.  Pivots are chosen with minimal absolute value to limit
+    # coefficient growth, and each pivot's sign is settled as soon as the
+    # pivot is final.  Steps skip entries known to be zero: row steps start
+    # at the pivot column, column steps skip the rows of S above the pivot
+    # and rows zero in both columns, and the column steps the pivot divides
+    # run as one pass over the rows with a nonzero in the pivot column.
     m, n = A.rows, A.cols
     S = A.to_rows()
-    rows: list[tuple] = []  # the row steps, for U
-    cols: list[tuple] = []  # the column steps, for V
+    rows: list[tuple] = []
+    cols: list[tuple] = []
 
     t = 0
     while t < min(m, n):
@@ -449,13 +432,17 @@ def smith_normal_form(A: IntegerMatrix) -> SnfResult:
             for row in S[t:]:
                 row[t], row[j0] = row[j0], row[t]
             cols.append((t, j0, None))
-        while True:
+        gcd_step = True
+        while gcd_step:
             for i in range(t + 1, m):
                 if S[i][t]:
                     _row_gcd_op(S, rows, t, i)
             # The entries of row t the pivot divides are cleared in batches,
-            # each ending where a gcd step must change column t.
-            St, batch = S[t], []
+            # each ending where a gcd step must change column t.  Only a gcd
+            # step writes column t, so without one column t stays clear
+            # below the pivot, and row t is clear: each column step zeroes
+            # its S[t][j] for good.
+            St, batch, gcd_step = S[t], [], False
             for j in range(t + 1, n):
                 if St[j]:
                     if St[j] % St[t] == 0:
@@ -465,11 +452,9 @@ def smith_normal_form(A: IntegerMatrix) -> SnfResult:
                         _col_div_ops(S, cols, t, batch)
                         batch = []
                     _col_gcd_op(S, cols, t, j)
+                    gcd_step = True
             if batch:
                 _col_div_ops(S, cols, t, batch)
-            # Row t is clear: each column step zeroes its S[t][j] for good.
-            if all(S[i][t] == 0 for i in range(t + 1, m)):
-                break
         # Pivot t is final: no later step touches row t of S.
         if S[t][t] < 0:
             S[t][t] = -S[t][t]
@@ -492,51 +477,51 @@ def smith_normal_form(A: IntegerMatrix) -> SnfResult:
                 _row_gcd_op(S, rows, i, i + 1)
                 # S[i][i] = g = gcd(a,b), S[i+1][i+1] = ab/g > 0; clear y*b != 0 at (i, i+1).
                 _col_div_ops(S, cols, i, [i + 1])
+    return S, rows, cols
 
+
+def smith_normal_form(A: IntegerMatrix) -> SnfResult:
+    """Smith normal form with transforms: U @ A @ V = S.
+
+    U and V are unimodular; S is diagonal with nonnegative entries
+    satisfying d_i | d_{i+1}, zeros last.  Pivots are chosen with minimal
+    absolute value, and steps skip entries known to be zero.
+
+    The elimination acts on S alone and logs its steps.  U is the row log
+    multiplied out on I in order; V is the column log multiplied out right
+    to left, as row steps on I, so a late column step meets rows of a
+    short suffix product, not V's widest columns.  The replay holds each
+    row as its nonzero entries only, so a step costs the nonzeros it
+    reads, not the row's width.
+
+    >>> smith_normal_form(IntegerMatrix.from_rows([[2, 4], [6, 8]])).diagonal()
+    (2, 4)
+    """
+    S, rows, cols = _eliminate(A)
     return SnfResult(
-        U=_replay(rows, m),
-        S=IntegerMatrix.from_rows(S, cols=n),
-        V=_replay(reversed(cols), n),
+        U=_replay(rows, A.rows),
+        S=IntegerMatrix.from_rows(S, cols=A.cols),
+        V=_replay(reversed(cols), A.cols),
     )
 
 
 def unimodular_inverse(M: IntegerMatrix) -> IntegerMatrix:
     """Inverse of a matrix with determinant +/-1; raises NotUnimodular otherwise.
 
-    [M | I] is reduced to [I | M^-1] by unimodular row steps alone: gcd
-    steps down each column from its least nonzero entry leave M upper
-    triangular, and back-substitution above each +/-1 pivot clears it.
-    The steps act on M and are logged, back-substitution read lazily off
-    the triangle, and the log is multiplied out on I.  An inverse is
-    unique, so this is the V @ U of the Smith form, which is computed
-    only to name the invariant factors in the error.
+    The Smith form's elimination gives U @ M @ V = S.  M is unimodular
+    exactly when S = I, and then M^-1 = V @ U: one replay of the row log
+    followed by the column log reversed.  Otherwise the error names the
+    invariant factors on the diagonal of S.
     """
     n = M.rows
     if n != M.cols:
         raise NotUnimodular("matrix is not square")
-    S = M.to_rows()
-    log: list[tuple] = []
-    for t in range(n):
-        column = [i for i in range(t, n) if S[i][t]]
-        if column:
-            i0 = min(column, key=lambda i: abs(S[i][t]))
-            S[t], S[i0] = S[i0], S[t]
-            log.append((t, i0, None))
-            for i in range(t + 1, n):
-                if S[i][t]:
-                    _row_gcd_op(S, log, t, i)
-        if not column or abs(S[t][t]) != 1:
-            factors = describe_int(smith_normal_form(M).diagonal())
-            raise NotUnimodular(f"determinant is not a unit: invariant factors {factors}")
-        if S[t][t] < 0:
-            S[t] = [-x for x in S[t]]
-            log.append((t,))
-    # S is upper unitriangular.  Bottom up, row i -= S[i][t] * row t for each
-    # t > i: the rows below i are final by then, e_t in S, and row i of S is
-    # as the forward pass left it.
-    back = ((i, [(t, q) for t, q in enumerate(S[i][i + 1:], i + 1) if q])
-            for i in reversed(range(n)))
-    return _replay(itertools.chain(log, back), n)
+    S, rows, cols = _eliminate(M)
+    diagonal = tuple(S[i][i] for i in range(n))
+    if any(d != 1 for d in diagonal):
+        raise NotUnimodular(
+            f"determinant is not a unit: invariant factors {describe_int(diagonal)}")
+    return _replay(itertools.chain(rows, reversed(cols)), n)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 import hashlib
+import math
 import operator
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -592,12 +594,20 @@ def _inverse_inputs():
     out += [_wide_unimodular(rng, rng.randint(2, 8)) for _ in range(30)]
     out += [random_signed_permutation(rng, rng.randint(1, 9)) for _ in range(30)]
     out += [norm_torus_spec(e).characters.generators[0] for e in list(range(2, 65)) + [256]]
+    # Dense, wide transforms: U of the benchmark's fixed 16x16 Smith form,
+    # and U of the norm torus's relation matrix sigma* - I at e = 64, which
+    # is what LatticeQuotient._section inverts.
+    dense_rng = random.Random("snf-fixed-16")
+    fixed = mat([[dense_rng.randint(-20, 20) for _ in range(16)] for _ in range(16)])
+    sigma = norm_torus_spec(64).characters.generators[0]
+    relations = unimodular_inverse(sigma).transpose() - IntegerMatrix.identity(63)
+    out += [smith_normal_form(fixed).U, smith_normal_form(relations).U]
     return out
 
 
 def test_unimodular_inverse_matches_the_smith_form_route():
-    # An inverse is unique, so the row-only reduction must give the V @ U
-    # of the Smith form exactly.
+    # An inverse is unique, so unimodular_inverse must give the V @ U of
+    # the Smith form exactly.
     for m in _inverse_inputs():
         inverse = unimodular_inverse(m)
         assert (m @ inverse).is_identity()
@@ -610,6 +620,50 @@ def test_unimodular_inverse_rejects_a_non_square_matrix(m):
     with pytest.raises(NotUnimodular) as info:
         unimodular_inverse(m)
     assert str(info.value) == "matrix is not square"
+
+
+def test_a_dense_non_unimodular_matrix_fails_fast(monkeypatch):
+    # A dense 40x40 matrix with entries in [-20, 20] and determinant not
+    # +/-1: the error comes from the one elimination, read off S, with no
+    # Smith form built for the message.
+    rng = random.Random("dense-40")
+    m = mat([[rng.randint(-20, 20) for _ in range(40)] for _ in range(40)])
+    calls = []
+    monkeypatch.setattr(lattice, "smith_normal_form", lambda a: calls.append(a))
+    start = time.perf_counter()
+    with pytest.raises(NotUnimodular) as info:
+        unimodular_inverse(m)
+    assert time.perf_counter() - start < 2
+    assert calls == []
+    prefix = "determinant is not a unit: invariant factors ("
+    message = str(info.value)
+    assert message.startswith(prefix) and message.endswith(")")
+    factors = [int(x) for x in message[len(prefix):-1].split(", ")]
+    assert len(factors) == 40
+    assert math.prod(factors) == abs(m.det()) > 1
+
+
+@pytest.mark.parametrize("rows, U, S, V", [
+    ([[2, 3], [4, 5]], [[1, 0], [1, -1]], [[1, 0], [0, 2]], [[-1, -3], [1, 2]]),
+    ([[2, 3, 0], [4, 5, 6], [0, 7, 8]],
+     [[1, 0, 0], [1, -1, 0], [-14, 7, 1]],
+     [[1, 0, 0], [0, 2, 0], [0, 0, 50]],
+     [[-1, -3, -9], [1, 2, 6], [0, 0, 1]]),
+])
+def test_a_gcd_column_step_forces_another_pass(monkeypatch, rows, U, S, V):
+    # The pivot 2 does not divide the 3 beside it, so a gcd column step
+    # rewrites column 0 below the pivot, and the elimination must take
+    # another pass of row steps at the same pivot.  U, S and V are pinned.
+    steps = []
+    for name in ("_row_gcd_op", "_col_gcd_op"):
+        def logged(S_, log, t, k, op=getattr(lattice, name), name=name):
+            steps.append((name, t))
+            op(S_, log, t, k)
+        monkeypatch.setattr(lattice, name, logged)
+    r = smith_normal_form(mat(rows))
+    assert (r.U, r.S, r.V) == (mat(U), mat(S), mat(V))
+    first_column_step = steps.index(("_col_gcd_op", 0))
+    assert ("_row_gcd_op", 0) in steps[first_column_step:]
 
 
 def _sized(rng, rows, cols, lo=-5, hi=5):
